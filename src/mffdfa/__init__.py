@@ -8,7 +8,6 @@ the trend model may be chosen per segment from a small basis set by
 coefficient of determination instead of being one fixed polynomial.
 """
 
-from .cli import AnalysisConfig, ResultDocument, analyze_series
 from .detrend import (
     BasisFunction,
     DesignFit,
@@ -22,12 +21,7 @@ from .detrend import (
     select_trend,
 )
 from .errors import InputError, NumericalError
-from .fluctuation import (
-    FluctuationSurface,
-    default_q_grid,
-    fluctuation_function,
-    segment_variance,
-)
+from .fluctuation import FluctuationSurface, default_q_grid, fluctuation_function
 from .generators import (
     CascadeOracle,
     CascadeSpec,
@@ -37,15 +31,10 @@ from .generators import (
     generate_cascade,
     generate_fgn,
 )
+from .pipeline import AnalysisConfig, ResultDocument, analyze_series
 from .segmentation import SegmentLayout, default_scale_grid, layout
-from .signal import Profile, as_series, build_profile, log_returns
-from .spectrum import (
-    GeneralizedHurst,
-    SingularitySpectrum,
-    fit_hurst,
-    legendre_transform,
-    spectrum_width,
-)
+from .signal import as_series, build_profile, log_returns
+from .spectrum import GeneralizedHurst, SingularitySpectrum, fit_hurst, legendre_transform
 
 __version__ = "0.1.0"
 
@@ -55,12 +44,20 @@ __all__ = [
     "coefficient_of_determination", "default_basis_set", "fit_least_squares",
     "polynomial_basis", "select_trend",
     "InputError", "NumericalError",
-    "FluctuationSurface", "default_q_grid", "fluctuation_function", "segment_variance",
+    "FluctuationSurface", "default_q_grid", "fluctuation_function",
     "CascadeOracle", "CascadeSpec", "FbmSpec", "cascade_oracle",
     "fgn_autocovariance", "generate_cascade", "generate_fgn",
     "SegmentLayout", "default_scale_grid", "layout",
-    "Profile", "as_series", "build_profile", "log_returns",
+    "as_series", "build_profile", "log_returns",
     "GeneralizedHurst", "SingularitySpectrum", "fit_hurst", "legendre_transform",
-    "spectrum_width",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # the command-line module loads on first access, so that
+    # ``python -m mffdfa.cli`` does not find it already imported
+    if name == "cli":
+        import importlib
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,145 +23,15 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .detrend import FixedPolynomial, FlexibleBasis
 from .errors import InputError, NumericalError
-from .fluctuation import FluctuationSurface, default_q_grid, fluctuation_function
+from .fluctuation import default_q_grid
 from .generators import CascadeSpec, FbmSpec, cascade_oracle, generate_cascade, generate_fgn
-from .segmentation import default_scale_grid
-from .signal import as_series, build_profile, log_returns
-from .spectrum import GeneralizedHurst, SingularitySpectrum, fit_hurst, legendre_transform
-
-METHODS = ("mfdfa", "mfdfa_overlap", "mffdfa")
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Fully specified analysis request; every field has a usable default."""
-
-    method: str = "mffdfa"
-    m: int = 2
-    k: int = 2
-    q_min: float = -10.0
-    q_max: float = 10.0
-    q_step: float = 0.2
-    s_min: int = 30
-    s_max: int | None = None          # None -> floor(N/10) at run time
-    n_scales: int = 30
-    abscissa: str = "raw"
-    seed: int = 0
-    fit_lo: int | None = None         # optional narrowing of the scaling fit
-    fit_hi: int | None = None
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise InputError(f"unknown method {self.method!r}; pick one of {METHODS}")
-        if self.abscissa not in ("raw", "normalized"):
-            raise InputError(f"abscissa must be 'raw' or 'normalized', got {self.abscissa!r}")
-
-    def effective_k(self) -> int:
-        return 1 if self.method == "mfdfa" else self.k
-
-    def policy(self):
-        if self.method == "mffdfa":
-            return FlexibleBasis(abscissa=self.abscissa)
-        return FixedPolynomial(m=self.m, abscissa=self.abscissa)
-
-    def resolved(self, N: int) -> dict:
-        out = dataclasses.asdict(self)
-        out["s_max"] = self.s_max if self.s_max is not None else N // 10
-        out["k"] = self.effective_k()
-        out["N"] = N
-        return out
-
-    def fit_range(self):
-        if self.fit_lo is None and self.fit_hi is None:
-            return None
-        return (self.fit_lo if self.fit_lo is not None else 0,
-                self.fit_hi if self.fit_hi is not None else np.inf)
-
-
-@dataclass(frozen=True)
-class ResultDocument:
-    """Everything one analysis produced, ready for serialization."""
-
-    config: dict
-    hurst: GeneralizedHurst
-    spectrum: SingularitySpectrum
-    surface: FluctuationSurface
-
-    def to_dict(self) -> dict:
-        diagnostics = {
-            "scales": self.surface.scales.tolist(),
-            "segment_counts": self.surface.segment_counts.tolist(),
-            "excluded_counts": self.surface.excluded_counts.tolist(),
-            "usable_scales": int(self.surface.usable.sum()),
-        }
-        if self.surface.selection_counts is not None:
-            totals = self.surface.selection_counts.sum(axis=0)
-            frac = totals / max(int(totals.sum()), 1)
-            diagnostics["selection_fractions"] = dict(
-                zip(self.surface.basis_names, frac.tolist())
-            )
-            diagnostics["selection_counts"] = {
-                name: col.tolist()
-                for name, col in zip(self.surface.basis_names, self.surface.selection_counts.T)
-            }
-        return {
-            "config": self.config,
-            "hurst": {
-                "q": self.hurst.q_grid.tolist(),
-                "h": self.hurst.h.tolist(),
-                "intercepts": self.hurst.intercepts.tolist(),
-                "fit_r2": self.hurst.fit_r2.tolist(),
-            },
-            "spectrum": {
-                "q": self.spectrum.q_grid.tolist(),
-                "alpha": self.spectrum.alpha.tolist(),
-                "f_alpha": self.spectrum.f_alpha.tolist(),
-                "alpha_at_q0": self.spectrum.alpha_at_q0,
-            },
-            "delta_alpha": self.spectrum.delta_alpha,
-            "diagnostics": diagnostics,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    def to_csv(self) -> str:
-        """Flat per-q table; scalars ride along as comment headers."""
-        lines = [f"# delta_alpha = {self.spectrum.delta_alpha!r}"]
-        sel = self.to_dict()["diagnostics"].get("selection_fractions")
-        if sel:
-            lines.append("# selection_fractions: "
-                         + " ".join(f"{k}={v:.6f}" for k, v in sel.items()))
-        lines.append("q,h,intercept,fit_r2,alpha,f_alpha")
-        for i, qq in enumerate(self.hurst.q_grid):
-            lines.append(",".join(repr(float(v)) for v in (
-                qq, self.hurst.h[i], self.hurst.intercepts[i],
-                self.hurst.fit_r2[i], self.spectrum.alpha[i], self.spectrum.f_alpha[i],
-            )))
-        return "\n".join(lines) + "\n"
-
-
-def analyze_series(x, config: AnalysisConfig) -> ResultDocument:
-    """Library-level pipeline behind the ``analyze`` subcommand."""
-    x = as_series(x)
-    if np.ptp(x) == 0.0:
-        raise NumericalError("degenerate series: zero variance")
-    profile = build_profile(x)
-    scales = default_scale_grid(x.size, config.s_min,
-                                config.s_max if config.s_max is not None else x.size // 10,
-                                config.n_scales)
-    q = default_q_grid(config.q_min, config.q_max, config.q_step)
-    surface = fluctuation_function(profile, scales, config.effective_k(), config.policy(), q)
-    hurst = fit_hurst(surface, s_range=config.fit_range())
-    spec = legendre_transform(hurst)
-    return ResultDocument(config=config.resolved(x.size), hurst=hurst,
-                          spectrum=spec, surface=surface)
+# ResultDocument is unused here; it stays importable from mffdfa.cli with the rest
+from .pipeline import METHODS, AnalysisConfig, ResultDocument, analyze_series  # noqa: F401
+from .signal import log_returns
 
 
 def read_series(path: str) -> np.ndarray:
@@ -271,8 +141,8 @@ def cmd_sweep_m(args) -> int:
                   for r in rows]
         _emit("\n".join(lines) + "\n", args.output)
     else:
-        _emit(json.dumps({"config": base.resolved(x.size), "sweep": rows}, indent=2) + "\n",
-              args.output)
+        _emit(json.dumps({"config": base.resolved(x.size, doc.surface.scales), "sweep": rows},
+                         indent=2) + "\n", args.output)
     return 0
 
 
@@ -294,7 +164,7 @@ def cmd_oracle(args) -> int:
 
 
 _CONFIG_FIELDS = ("method", "m", "k", "q_min", "q_max", "q_step",
-                  "s_min", "s_max", "n_scales", "abscissa", "seed",
+                  "s_min", "s_max", "n_scales", "abscissa",
                   "fit_lo", "fit_hi")
 
 
@@ -332,7 +202,6 @@ def _add_analysis_flags(p: argparse.ArgumentParser):
     p.add_argument("--s-max", dest="s_max", type=int)
     p.add_argument("--n-scales", dest="n_scales", type=int)
     p.add_argument("--abscissa", choices=("raw", "normalized"))
-    p.add_argument("--seed", type=int)
     p.add_argument("--fit-lo", dest="fit_lo", type=int,
                    help="lower scale bound for the h(q) regression")
     p.add_argument("--fit-hi", dest="fit_hi", type=int,

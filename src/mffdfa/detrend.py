@@ -36,6 +36,28 @@ def _noise_floor(peak, s):
     return s * (R2_ZERO_TOL * peak) ** 2
 
 
+def _r_squared(Y: np.ndarray, ss_res: np.ndarray) -> np.ndarray:
+    """R^2 of fits to the columns of Y (shape (s, M)) from their residual sums.
+
+    ss_res has shape (M,) or (n_bases, M).  Numerically constant columns
+    are scored as coefficient_of_determination describes.
+    """
+    ybar = Y.mean(axis=0)
+    ss_tot = np.einsum("ij,ij->j", Y - ybar, Y - ybar)
+    floor = _noise_floor(np.abs(Y).max(axis=0, initial=0.0), Y.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            ss_tot > floor,
+            1.0 - ss_res / ss_tot,
+            np.where(ss_res <= floor, 1.0, 0.0),
+        )
+
+
+def _best_basis(r2: np.ndarray) -> np.ndarray:
+    """Index along axis 0 of the highest R^2; ties within TIE_EPS go to the earliest."""
+    return np.argmax(r2 >= r2.max(axis=0) - TIE_EPS, axis=0)
+
+
 @dataclass(frozen=True)
 class BasisFunction:
     """A trend model linear in its parameters: trend(t) = sum_j c_j phi_j(t)."""
@@ -86,7 +108,6 @@ def polynomial_basis(m: int) -> BasisFunction:
 
 @dataclass(frozen=True)
 class FitResult:
-    coefficients: np.ndarray
     fitted: np.ndarray
     ss_res: float
     r_squared: float
@@ -111,13 +132,11 @@ class DesignFit:
         A = basis.design(s, abscissa)
         norms = np.linalg.norm(A, axis=0)
         norms[norms == 0.0] = 1.0
-        U, sv, Vt = np.linalg.svd(A / norms, full_matrices=False)
+        U, sv, _ = np.linalg.svd(A / norms, full_matrices=False)
         rcond = max(A.shape) * np.finfo(float).eps
         rank = int(np.count_nonzero(sv > rcond * sv[0]))
         self.basis = basis
-        self.column_norms = norms
         self._U = U[:, :rank]
-        self._V_over_sv = Vt[:rank].T / sv[:rank]
         self.rank_deficient = rank < basis.parameter_count
 
     def fitted_many(self, Y: np.ndarray) -> np.ndarray:
@@ -128,32 +147,19 @@ class DesignFit:
         resid = Y - self.fitted_many(Y)
         return np.einsum("ij,ij->j", resid, resid)
 
-    def coefficients(self, y: np.ndarray) -> np.ndarray:
-        return (self._V_over_sv @ (self._U.T @ y)) / self.column_norms
-
 
 def fit_least_squares(segment, basis: BasisFunction, abscissa: str = "raw") -> FitResult:
     """Least-squares fit of one basis to one segment."""
     y = np.asarray(segment, dtype=float)
     op = DesignFit(basis, y.size, abscissa)
-    col = y[:, None]
-    fitted = op.fitted_many(col)[:, 0]
-    ss_res = float(op.ss_res_many(col)[0])
+    Y = y[:, None]
+    ss_res = op.ss_res_many(Y)
     return FitResult(
-        coefficients=op.coefficients(y),
-        fitted=fitted,
-        ss_res=ss_res,
-        r_squared=_r_squared(y, ss_res),
+        fitted=op.fitted_many(Y)[:, 0],
+        ss_res=float(ss_res[0]),
+        r_squared=float(_r_squared(Y, ss_res)[0]),
         rank_deficient=op.rank_deficient,
     )
-
-
-def _r_squared(y: np.ndarray, ss_res: float) -> float:
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    floor = _noise_floor(float(np.abs(y).max(initial=0.0)), y.size)
-    if ss_tot > floor:
-        return 1.0 - ss_res / ss_tot
-    return 1.0 if ss_res <= floor else 0.0
 
 
 def coefficient_of_determination(segment, fit: FitResult) -> float:
@@ -165,7 +171,7 @@ def coefficient_of_determination(segment, fit: FitResult) -> float:
     rescaling the segment.
     """
     y = np.asarray(segment, dtype=float)
-    return _r_squared(y, fit.ss_res)
+    return float(_r_squared(y[:, None], np.array([fit.ss_res]))[0])
 
 
 def select_trend(segment, q_set: Sequence[BasisFunction],
@@ -179,8 +185,7 @@ def select_trend(segment, q_set: Sequence[BasisFunction],
     if not q_set:
         raise InputError("empty basis set")
     fits = [fit_least_squares(segment, b, abscissa) for b in q_set]
-    r2 = np.array([f.r_squared for f in fits])
-    chosen = int(np.argmax(r2 >= r2.max() - TIE_EPS))
+    chosen = int(_best_basis(np.array([f.r_squared for f in fits])))
     return chosen + 1, fits[chosen]
 
 
@@ -229,14 +234,5 @@ def batch_segment_variances(segments: np.ndarray, policy: DetrendPolicy):
         ss_res = ops[0].ss_res_many(Y)
         return ss_res / s, None
     ss_res = np.stack([op.ss_res_many(Y) for op in ops])
-    ybar = Y.mean(axis=0)
-    ss_tot = np.einsum("ij,ij->j", Y - ybar, Y - ybar)
-    floor = _noise_floor(np.abs(Y).max(axis=0, initial=0.0), s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r2 = np.where(
-            ss_tot > floor,
-            1.0 - ss_res / ss_tot,
-            np.where(ss_res <= floor, 1.0, 0.0),
-        )
-    chosen = np.argmax(r2 >= r2.max(axis=0) - TIE_EPS, axis=0)
+    chosen = _best_basis(_r_squared(Y, ss_res))
     return ss_res[chosen, np.arange(M)] / s, chosen

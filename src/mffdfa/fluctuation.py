@@ -31,7 +31,6 @@ from scipy.special import logsumexp
 from .detrend import DetrendPolicy, FlexibleBasis, batch_segment_variances
 from .errors import InputError, NumericalError
 from .segmentation import layout
-from .signal import Profile
 
 
 def default_q_grid(q_min: float = -10.0, q_max: float = 10.0,
@@ -47,16 +46,6 @@ def default_q_grid(q_min: float = -10.0, q_max: float = 10.0,
     q = np.round(q_min + step * np.arange(n), 12)
     q[np.abs(q) < 1e-12] = 0.0
     return q
-
-
-def segment_variance(profile_segment, trend) -> float:
-    """Local detrended variance F^2(nu, s) of one segment."""
-    y = np.asarray(profile_segment, dtype=float)
-    f = np.asarray(trend, dtype=float)
-    if y.shape != f.shape:
-        raise InputError(f"segment and trend lengths differ: {y.shape} vs {f.shape}")
-    d = y - f
-    return float(d @ d) / y.size
 
 
 @dataclass(frozen=True)
@@ -80,7 +69,7 @@ def fluctuation_function(profile, scales, k: int, policy: DetrendPolicy,
     Accumulation order is fixed (ascending segment start, ascending scale,
     ascending q) so results never depend on scheduling.
     """
-    y = profile.values if isinstance(profile, Profile) else np.asarray(profile, dtype=float)
+    y = np.asarray(profile, dtype=float)
     scales = np.asarray(scales, dtype=int)
     q = np.asarray(q_grid, dtype=float)
     if q.size == 0 or np.any(np.diff(q) <= 0):

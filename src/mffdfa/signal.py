@@ -12,8 +12,6 @@ check (and a property the tests assert).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError
@@ -37,19 +35,8 @@ def as_series(values, name: str = "series") -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Cumulative mean-subtracted sum Y(j) plus the subtracted mean."""
-
-    values: np.ndarray
-    source_mean: float
-
-    def __len__(self):
-        return self.values.size
-
-
-def build_profile(series) -> Profile:
-    """Step 1: turn a raw series into its profile Y(j).
+def build_profile(series) -> np.ndarray:
+    """Step 1: turn a raw series into its profile Y(j), a float64 array.
 
     The mean and the partial sums are accumulated in the widest float
     the platform offers (one deterministic pre-pass, no streaming), then
@@ -57,9 +44,7 @@ def build_profile(series) -> Profile:
     """
     x = as_series(series)
     wide = x.astype(np.longdouble)
-    mean = wide.mean()
-    y = np.cumsum(wide - mean)
-    return Profile(values=y.astype(float), source_mean=float(mean))
+    return np.cumsum(wide - wide.mean()).astype(float)
 
 
 def log_returns(prices) -> np.ndarray:

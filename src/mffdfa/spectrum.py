@@ -87,7 +87,3 @@ def legendre_transform(hurst: GeneralizedHurst) -> SingularitySpectrum:
         alpha_at_q0=float(alpha[i0]),
     )
 
-
-def spectrum_width(spectrum: SingularitySpectrum) -> float:
-    """Delta_alpha = alpha_max - alpha_min."""
-    return float(spectrum.alpha.max() - spectrum.alpha.min())

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mffdfa
 from mffdfa import FbmSpec, InputError, generate_fgn
 from mffdfa.cli import (
     AnalysisConfig,
@@ -61,10 +66,11 @@ def test_analyze_csv_output(tmp_path):
                  "-o", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# delta_alpha = ")
-    assert lines[1].startswith("# selection_fractions: ")
-    assert lines[2] == "q,h,intercept,fit_r2,alpha,f_alpha"
-    assert len(lines) == 3 + 11  # header rows + one row per q
-    first = [float(v) for v in lines[3].split(",")]
+    assert lines[1:4] == ["# N = 1500", "# method = mffdfa", "# k = 2"]
+    assert lines[4].startswith("# selection_fractions: ")
+    assert lines[5] == "q,h,intercept,fit_r2,alpha,f_alpha"
+    assert len(lines) == 6 + 11  # header rows + one row per q
+    first = [float(v) for v in lines[6].split(",")]
     assert first[0] == -10.0
 
 
@@ -92,6 +98,29 @@ def test_unknown_subcommand_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_analyze_has_no_seed_flag(tmp_path):
+    # only `generate` draws random numbers
+    src = tmp_path / "x.csv"
+    _write_series(src, np.sin(np.arange(500)))
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(src), "--seed", "1"])
+    assert exc.value.code == 2
+
+
+def test_module_entry_point_runs_without_warning():
+    env = dict(os.environ, PYTHONPATH=str(Path(mffdfa.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "mffdfa.cli",
+         "oracle", "--a", "0.6"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", "import mffdfa; print(mffdfa.cli.main.__name__)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "main\n", "")
 
 
 # ----------------------------------------------------------- input parsing
@@ -161,10 +190,12 @@ def _prices(n=1201, seed=4):
 def test_log_returns_flag(tmp_path, capsys):
     src = tmp_path / "prices.csv"
     _write_series(src, _prices())
-    assert main(["analyze", str(src), "--log-returns", "--q-step", "2.0",
-                 "--n-scales", "10"]) == 0
+    argv = ["analyze", str(src), "--log-returns", "--q-step", "2.0", "--n-scales", "10"]
+    assert main(argv) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["config"]["N"] == 1200  # one fewer than the price count
+    assert main(argv + ["--format", "csv"]) == 0
+    assert "# N = 1200" in capsys.readouterr().out.splitlines()
 
 
 def test_drop_overnight_needs_session_length(tmp_path, capsys):
@@ -223,9 +254,11 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     src = tmp_path / "x.csv"
     _write_series(src, np.sin(np.arange(500)))
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"wavelet": True}))
-    assert main(["analyze", str(src), "--config", str(cfg)]) == 2
-    assert "unknown config keys" in capsys.readouterr().err
+    # "seed" is no config field: no analysis draws random numbers
+    for content in ({"wavelet": True}, {"seed": 0}):
+        cfg.write_text(json.dumps(content))
+        assert main(["analyze", str(src), "--config", str(cfg)]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
 
 
 def test_bad_method_rejected():

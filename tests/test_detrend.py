@@ -19,6 +19,7 @@ from mffdfa import (
     polynomial_basis,
     select_trend,
 )
+from mffdfa.detrend import batch_segment_variances
 
 import oracles
 
@@ -34,9 +35,10 @@ def _t(n):
 
 def test_exact_quadratic_recovers_coefficients():
     t = _t(60)
-    fit = fit_least_squares(3 * t * t + 2 * t + 1, default_basis_set()[0])
-    np.testing.assert_allclose(fit.coefficients, [3.0, 2.0, 1.0], rtol=1e-10)
-    assert fit.ss_res <= 1e-16 * np.sum((3 * t * t + 2 * t + 1) ** 2)
+    y = 3 * t * t + 2 * t + 1
+    fit = fit_least_squares(y, default_basis_set()[0])
+    np.testing.assert_allclose(fit.fitted, y, rtol=1e-10)
+    assert fit.ss_res <= 1e-16 * np.sum(y ** 2)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
 
@@ -179,6 +181,34 @@ def test_selection_scale_invariance(y, c):
     idx_b, fit_b = select_trend(c * y, default_basis_set())
     assert idx_a == idx_b
     assert fit_a.r_squared == pytest.approx(fit_b.r_squared, abs=1e-10)
+
+
+@st.composite
+def segment_batches(draw):
+    """Rows of one length: random, constant, near-constant and scaled by 1e3."""
+    s = draw(st.integers(12, 80))
+    row = arrays(np.float64, s, elements=st.floats(-1e3, 1e3, allow_nan=False,
+                                                    allow_infinity=False))
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    level = draw(st.floats(-1e3, 1e3).filter(lambda v: abs(v) > 1e-3))
+    jitter = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal(s)
+    rows += [np.full(s, level), level * (1.0 + 1e-13 * jitter), 1e3 * rows[0]]
+    return np.stack(rows)
+
+
+@given(segment_batches())
+@settings(max_examples=60)
+def test_select_trend_agrees_with_batched_selection(batch):
+    variances, chosen = batch_segment_variances(batch, FlexibleBasis())
+    s = batch.shape[1]
+    for row, var, best in zip(batch, variances, chosen):
+        idx, fit = select_trend(row, default_basis_set())
+        assert idx - 1 == best
+        # a variance at rounding level (constant rows) comes out of the
+        # one-column and the batched product rounded differently, by up to
+        # about 1e-29 * peak^2
+        rounding = 1e-27 * np.abs(row).max() ** 2
+        assert fit.ss_res / s == pytest.approx(var, rel=1e-12, abs=rounding)
 
 
 def test_column_scaling_equivalence(rng):

@@ -11,9 +11,11 @@ from mffdfa import (
     build_profile,
     default_q_grid,
     default_scale_grid,
+    fit_least_squares,
     fluctuation_function,
-    segment_variance,
+    polynomial_basis,
 )
+from mffdfa.detrend import batch_segment_variances
 
 import oracles
 
@@ -30,25 +32,36 @@ def test_q_grid_rejects_bad_step():
         default_q_grid(0, 1, -0.1)
 
 
+def _variances_vs_oracle(segments, m):
+    """Batched F^2 per row, and the direct sum over one fit per row."""
+    variances, chosen = batch_segment_variances(segments, FixedPolynomial(m))
+    assert chosen is None
+    direct = [oracles.segment_variance_direct(seg, fit_least_squares(
+        seg, polynomial_basis(m)).fitted) for seg in segments]
+    return variances, np.asarray(direct)
+
+
 def test_segment_variance_perfect_detrend():
-    seg = np.arange(8.0)
-    assert segment_variance(seg, seg) == 0.0
+    t = np.arange(1.0, 9.0)
+    segments = np.stack([t, 3 * t * t - t + 5, -2.5 * t + 1])
+    variances, direct = _variances_vs_oracle(segments, 2)
+    assert np.all(variances <= 1e-28 * np.mean(segments ** 2, axis=1))
+    assert np.all(direct <= 1e-28 * np.mean(segments ** 2, axis=1))
 
 
 def test_segment_variance_hand_case():
-    assert segment_variance([1.0, -1.0, 1.0, -1.0], np.zeros(4)) == 1.0
+    # the line through (1, 1), (2, -1), (3, 1), (4, -1) is 1 - 0.4 t, which
+    # leaves residuals (0.4, -1.2, 1.2, -0.4): F^2 = 3.2 / 4
+    variances, direct = _variances_vs_oracle(np.array([[1.0, -1.0, 1.0, -1.0]]), 1)
+    assert variances[0] == pytest.approx(0.8, rel=1e-12)
+    assert direct[0] == pytest.approx(0.8, rel=1e-12)
 
 
 def test_segment_variance_matches_direct_sum(rng):
-    seg = rng.standard_normal(64)
-    trend = rng.standard_normal(64)
-    direct = oracles.segment_variance_direct(seg, trend)
-    assert segment_variance(seg, trend) == pytest.approx(direct, rel=1e-12)
-
-
-def test_segment_variance_length_mismatch():
-    with pytest.raises(InputError):
-        segment_variance(np.ones(5), np.ones(6))
+    segments = rng.standard_normal((5, 64))
+    for m in (1, 2, 3):
+        variances, direct = _variances_vs_oracle(segments, m)
+        np.testing.assert_allclose(variances, direct, rtol=1e-12)
 
 
 def _white_profile(n=4000, seed=3):

@@ -16,24 +16,24 @@ finite_series = arrays(
 
 def test_profile_small_hand_case():
     prof = build_profile([1.0, 2.0, 3.0])
-    assert prof.source_mean == 2.0
-    np.testing.assert_allclose(prof.values, [-1.0, -1.0, 0.0], atol=1e-15)
+    assert prof.dtype == np.float64
+    np.testing.assert_allclose(prof, [-1.0, -1.0, 0.0], atol=1e-15)
 
 
 def test_profile_of_constant_series_is_zero():
     prof = build_profile(np.full(50, 3.7))
-    np.testing.assert_allclose(prof.values, 0.0, atol=1e-12)
+    np.testing.assert_allclose(prof, 0.0, atol=1e-12)
 
 
 def test_profile_matches_running_sum_oracle(rng):
     x = rng.uniform(-1, 1, size=1000)
-    np.testing.assert_allclose(build_profile(x).values,
+    np.testing.assert_allclose(build_profile(x),
                                oracles.running_sum_profile(x), atol=1e-10)
 
 
 def test_profile_endpoint_returns_to_zero(rng):
     x = rng.standard_normal(10_000) * 37.0
-    y = build_profile(x).values
+    y = build_profile(x)
     assert abs(y[-1]) <= 1e-9 * x.size * np.abs(x).max()
 
 
@@ -44,16 +44,16 @@ def test_profile_length_matches_input(rng):
 
 @given(finite_series, st.floats(-1e5, 1e5, allow_nan=False))
 def test_profile_shift_invariance(x, c):
-    base = build_profile(x).values
-    shifted = build_profile(x + c).values
+    base = build_profile(x)
+    shifted = build_profile(x + c)
     scale = max(1.0, np.abs(base).max())
     np.testing.assert_allclose(shifted, base, atol=1e-9 * scale, rtol=1e-9)
 
 
 @given(finite_series, st.floats(-100, 100, allow_nan=False))
 def test_profile_linearity(x, c):
-    base = build_profile(x).values
-    scaled = build_profile(c * x).values
+    base = build_profile(x)
+    scaled = build_profile(c * x)
     tol = 1e-9 * max(1.0, abs(c) * np.abs(base).max())
     np.testing.assert_allclose(scaled, c * base, atol=tol, rtol=1e-9)
 

@@ -13,7 +13,6 @@ from mffdfa import (
     fit_hurst,
     generate_cascade,
     legendre_transform,
-    spectrum_width,
 )
 
 import oracles
@@ -67,7 +66,6 @@ def test_monofractal_legendre_collapses():
     np.testing.assert_allclose(spec.alpha, 0.62, atol=1e-12)
     np.testing.assert_allclose(spec.f_alpha, 1.0, atol=1e-12)
     assert spec.delta_alpha == pytest.approx(0.0, abs=1e-12)
-    assert spectrum_width(spec) == spec.delta_alpha
 
 
 def test_legendre_on_analytic_cascade_h():
