@@ -141,8 +141,11 @@ def cmd_sweep_m(args) -> int:
                   for r in rows]
         _emit("\n".join(lines) + "\n", args.output)
     else:
-        _emit(json.dumps({"config": base.resolved(x.size, doc.surface.scales), "sweep": rows},
-                         indent=2) + "\n", args.output)
+        # each row carries its own method, m and k; the block keeps what they share
+        config = {key: value for key, value in base.resolved(x.size, doc.surface.scales).items()
+                  if key not in ("method", "m", "k")}
+        config.update(m_min=args.m_min, m_max=args.m_max)
+        _emit(json.dumps({"config": config, "sweep": rows}, indent=2) + "\n", args.output)
     return 0
 
 

@@ -153,9 +153,11 @@ def fit_least_squares(segment, basis: BasisFunction, abscissa: str = "raw") -> F
     y = np.asarray(segment, dtype=float)
     op = DesignFit(basis, y.size, abscissa)
     Y = y[:, None]
-    ss_res = op.ss_res_many(Y)
+    fitted = op.fitted_many(Y)
+    resid = Y - fitted
+    ss_res = np.einsum("ij,ij->j", resid, resid)
     return FitResult(
-        fitted=op.fitted_many(Y)[:, 0],
+        fitted=fitted[:, 0],
         ss_res=float(ss_res[0]),
         r_squared=float(_r_squared(Y, ss_res)[0]),
         rank_deficient=op.rank_deficient,

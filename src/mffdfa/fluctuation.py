@@ -66,8 +66,15 @@ def fluctuation_function(profile, scales, k: int, policy: DetrendPolicy,
                          q_grid) -> FluctuationSurface:
     """Steps 2-4: segment, detrend, and aggregate over the scale grid.
 
-    Accumulation order is fixed (ascending segment start, ascending scale,
-    ascending q) so results never depend on scheduling.
+    At each scale the nonzero q are aggregated a block of rows at a time,
+    one logsumexp over the (rows, M) matrix of q/2 * ln F^2 per block.  A
+    block holds at most max(1, s // 4) rows: at s >= 4 it is at most a
+    quarter of the (s, M) segment matrix the scale already holds, so peak
+    memory stays set by detrending whatever the length of the q grid (one
+    block of the default 100 nonzero q would be over three times that
+    matrix at s = 30).
+    Each row is reduced on its own, in ascending segment order, so F_q(s)
+    does not depend on how the rows are blocked.
     """
     y = np.asarray(profile, dtype=float)
     scales = np.asarray(scales, dtype=int)
@@ -75,6 +82,7 @@ def fluctuation_function(profile, scales, k: int, policy: DetrendPolicy,
     if q.size == 0 or np.any(np.diff(q) <= 0):
         raise InputError("q grid must be non-empty and strictly increasing")
 
+    q_nz = np.flatnonzero(q != 0.0)
     flexible = isinstance(policy, FlexibleBasis)
     n_bases = len(policy.bases())
     values = np.full((q.size, scales.size), np.nan)
@@ -98,13 +106,13 @@ def fluctuation_function(profile, scales, k: int, policy: DetrendPolicy,
             continue                      # unusable scale, stays NaN
         usable[j] = True
         log_fsq = np.log(fsq[nonzero])
-        for i, qq in enumerate(q):
-            if qq == 0.0:
-                values[i, j] = np.exp(log_fsq.mean() / 2.0)
-            elif qq > 0.0:
-                values[i, j] = np.exp((logsumexp(qq / 2.0 * log_fsq) - np.log(win.count)) / qq)
-            else:
-                values[i, j] = np.exp((logsumexp(qq / 2.0 * log_fsq) - np.log(m_nz)) / qq)
+        values[q == 0.0, j] = np.exp(log_fsq.mean() / 2.0)
+        log_m = np.where(q > 0.0, np.log(win.count), np.log(m_nz))
+        rows = max(1, int(s) // 4)
+        for b in range(0, q_nz.size, rows):
+            idx = q_nz[b:b + rows]
+            lse = logsumexp(q[idx, None] / 2.0 * log_fsq, axis=1)
+            values[idx, j] = np.exp((lse - log_m[idx]) / q[idx])
 
     if int(usable.sum()) < 4:
         raise NumericalError(

@@ -45,7 +45,10 @@ def fit_hurst(surface: FluctuationSurface, s_range: tuple[float, float] | None =
 
     By default the regression runs over every usable scale; s_range
     optionally narrows it to [lo, hi] (inclusive) when a scaling window
-    is known a priori.
+    is known a priori.  Every q shares the design ln s, so one centred
+    least-squares solve over the (n_q, n_kept) matrix of ln F_q(s) fits
+    all the lines at once.  A row with no spread (ss_tot = 0) has slope 0
+    and scores R^2 = 1.
     """
     keep = surface.usable.copy()
     if s_range is not None:
@@ -57,19 +60,18 @@ def fit_hurst(surface: FluctuationSurface, s_range: tuple[float, float] | None =
             f"(q from {surface.q_grid[0]} to {surface.q_grid[-1]}); need at least 4"
         )
     ls = np.log(surface.scales[keep].astype(float))
-    q = surface.q_grid
-    h = np.empty(q.size)
-    c0 = np.empty(q.size)
-    r2 = np.empty(q.size)
-    for i in range(q.size):
-        lf = np.log(surface.values[i, keep])
-        slope, intercept = np.polyfit(ls, lf, 1)
-        resid = lf - (slope * ls + intercept)
-        ss_tot = np.sum((lf - lf.mean()) ** 2)
-        h[i] = slope
-        c0[i] = intercept
-        r2[i] = 1.0 - resid @ resid / ss_tot if ss_tot > 0 else 1.0
-    return GeneralizedHurst(q_grid=q, h=h, intercepts=c0, fit_r2=r2)
+    lf = np.log(surface.values[:, keep])
+    x = ls - ls.mean()
+    lf_bar = lf.mean(axis=1)
+    yc = lf - lf_bar[:, None]
+    h = yc @ x / (x @ x)
+    c0 = lf_bar - h * ls.mean()
+    resid = yc - h[:, None] * x
+    ss_res = np.einsum("ij,ij->i", resid, resid)
+    ss_tot = np.einsum("ij,ij->i", yc, yc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.where(ss_tot > 0, 1.0 - ss_res / ss_tot, 1.0)
+    return GeneralizedHurst(q_grid=surface.q_grid, h=h, intercepts=c0, fit_r2=r2)
 
 
 def legendre_transform(hurst: GeneralizedHurst) -> SingularitySpectrum:

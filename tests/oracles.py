@@ -9,6 +9,7 @@ import math
 
 import mpmath
 import numpy as np
+from scipy.special import logsumexp
 
 
 def running_sum_profile(x):
@@ -64,6 +65,31 @@ def textbook_mfdfa(x, scales, q_values, m):
             else:
                 F[i, j] = np.mean(fsq ** (q / 2.0)) ** (1.0 / q)
     return F
+
+
+def power_means_per_q(fsq, q_values):
+    """F_q of one scale from its segment variances, one logsumexp per q.
+
+    The per-q loop form of the aggregation: zero variances are dropped,
+    q > 0 divides by every segment and q < 0 by the nonzero ones only, and
+    q = 0 is the geometric mean.  Returns NaN everywhere when no variance
+    is positive.
+    """
+    fsq = np.asarray(fsq, dtype=float)
+    nonzero = fsq > 0.0
+    m_nz = int(np.count_nonzero(nonzero))
+    out = np.full(len(q_values), np.nan)
+    if m_nz == 0:
+        return out
+    log_fsq = np.log(fsq[nonzero])
+    for i, qq in enumerate(q_values):
+        if qq == 0.0:
+            out[i] = np.exp(log_fsq.mean() / 2.0)
+        elif qq > 0.0:
+            out[i] = np.exp((logsumexp(qq / 2.0 * log_fsq) - np.log(fsq.size)) / qq)
+        else:
+            out[i] = np.exp((logsumexp(qq / 2.0 * log_fsq) - np.log(m_nz)) / qq)
+    return out
 
 
 def dfa_rms(x, scales, m):

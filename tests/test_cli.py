@@ -284,6 +284,19 @@ def test_sweep_single_m_csv(tmp_path, capsys):
         assert abs(float(row[3]) - 0.6) < 0.15
 
 
+def test_sweep_json_config_reports_the_swept_range(tmp_path, capsys):
+    src = tmp_path / "x.csv"
+    _write_series(src, generate_fgn(FbmSpec(hurst=0.6, length=2000, seed=7)))
+    assert main(["sweep-m", str(src), "--m-min", "1", "--m-max", "1",
+                 "--q-step", "2.0", "--n-scales", "10"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    config = doc["config"]
+    assert not {"method", "m", "k"} & config.keys()
+    assert (config["m_min"], config["m_max"], config["N"]) == (1, 1, 2000)
+    assert [(r["m"], r["method"], r["k"]) for r in doc["sweep"]] == [
+        (1, "mfdfa", 1), (1, "mfdfa_overlap", 2)]
+
+
 def test_sweep_range_validated(tmp_path, capsys):
     src = tmp_path / "x.csv"
     _write_series(src, np.random.default_rng(0).normal(size=800))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from mffdfa import (
     polynomial_basis,
 )
 from mffdfa.detrend import batch_segment_variances
+from mffdfa.segmentation import layout
 
 import oracles
 
@@ -130,16 +133,60 @@ def test_q_continuity_at_zero(rng):
     assert np.all((lo <= mid + 1e-12) & (mid <= hi + 1e-12))
 
 
-def test_zero_variance_segments_are_counted_and_excluded():
+def _zero_variance_profile():
     # profile exactly zero on [0, 600): those segments carry F^2 = 0 exactly
     y = np.zeros(1200)
     y[600:] = np.sin(np.arange(600) * 0.7) * 50.0
-    surface = fluctuation_function(y, np.array([30, 40, 50, 60]), 1,
-                                   FixedPolynomial(m=2), default_q_grid(-2, 2, 1.0))
+    return y
+
+
+def test_zero_variance_segments_are_counted_and_excluded():
+    surface = fluctuation_function(_zero_variance_profile(), np.array([30, 40, 50, 60]),
+                                   1, FixedPolynomial(m=2), default_q_grid(-2, 2, 1.0))
     assert int(surface.excluded_counts.sum()) > 0
     assert np.all(surface.excluded_counts < surface.segment_counts)
     assert np.all(np.isfinite(surface.values))
     assert np.all(surface.values > 0)
+
+
+@pytest.mark.parametrize("profile, scales, k, policy, excludes", [
+    # s < 404 splits the 100 nonzero q into several blocks
+    (_white_profile(10_000), default_scale_grid(10_000), 2, FlexibleBasis(), False),
+    # exclusions make M differ between q > 0 and q < 0
+    (_zero_variance_profile(), np.array([30, 40, 50, 60]), 1, FixedPolynomial(m=2), True),
+])
+def test_aggregation_equals_per_q_loop(monkeypatch, profile, scales, k, policy, excludes):
+    import mffdfa.fluctuation as fl
+    recorded = []
+
+    def recording(segments, policy):
+        fsq, chosen = batch_segment_variances(segments, policy)
+        recorded.append(fsq)
+        return fsq, chosen
+
+    monkeypatch.setattr(fl, "batch_segment_variances", recording)
+    q = default_q_grid()
+    surface = fl.fluctuation_function(profile, scales, k, policy, q)
+    expected = np.column_stack([oracles.power_means_per_q(fsq, q) for fsq in recorded])
+    np.testing.assert_array_equal(surface.values, expected)
+    assert (int(surface.excluded_counts.sum()) > 0) == excludes
+
+
+def test_aggregation_memory_stays_within_the_segment_matrix(monkeypatch):
+    import mffdfa.fluctuation as fl
+    monkeypatch.setattr(fl, "batch_segment_variances",
+                        lambda segments, policy: (np.linspace(0.5, 2.0, len(segments)), None))
+    n, k = 2 ** 16, 2
+    profile = _white_profile(n)
+    scales = default_scale_grid(n)
+    largest = max(8 * int(s) * layout(n, int(s), k).count for s in scales)
+    tracemalloc.start()
+    try:
+        fl.fluctuation_function(profile, scales, k, FixedPolynomial(m=2), default_q_grid())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * largest
 
 
 def test_all_zero_variance_raises_numerical_error():

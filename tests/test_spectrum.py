@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,33 @@ def test_fit_hurst_respects_s_range():
     lo = fit_hurst(_surface(scales, vals, q), s_range=(10, 100)).h[0]
     assert lo == pytest.approx(0.5, abs=1e-12)
     assert full > lo
+
+
+@pytest.mark.parametrize("s_range", [None, (20, 700)])
+def test_fit_hurst_matches_polyfit_per_q(rng, s_range):
+    scales = np.array([10, 20, 40, 80, 160, 320, 640, 1280])
+    q = default_q_grid(-4, 4, 0.5)
+    values = np.exp(rng.normal(size=(q.size, scales.size))) * scales ** 0.6
+    values[q == 1.0] = 1.0            # constant row: slope 0, R^2 = 1
+    values[:, 3] = np.nan             # an unusable scale is left out
+    surface = dataclasses.replace(_surface(scales, values, q), usable=np.isfinite(values[0]))
+    hurst = fit_hurst(surface, s_range=s_range)
+
+    keep = surface.usable.copy()
+    if s_range is not None:
+        keep &= (scales >= s_range[0]) & (scales <= s_range[1])
+    ls = np.log(scales[keep].astype(float))
+    for i in range(q.size):
+        lf = np.log(values[i, keep])
+        slope, intercept = np.polyfit(ls, lf, 1)
+        resid = lf - (slope * ls + intercept)
+        ss_tot = np.sum((lf - lf.mean()) ** 2)
+        r2 = 1.0 - resid @ resid / ss_tot if ss_tot > 0 else 1.0
+        assert hurst.h[i] == pytest.approx(slope, abs=1e-12)
+        assert hurst.intercepts[i] == pytest.approx(intercept, abs=1e-12)
+        assert hurst.fit_r2[i] == pytest.approx(r2, abs=1e-12)
+    i1 = int(np.flatnonzero(q == 1.0)[0])
+    assert hurst.h[i1] == 0.0 and hurst.fit_r2[i1] == 1.0
 
 
 def test_fit_hurst_needs_four_scales():
