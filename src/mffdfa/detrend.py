@@ -7,11 +7,29 @@ Two detrending policies coexist:
   fitted to each segment and the winner is picked by coefficient of
   determination.
 
-Every candidate model is linear in its parameters, so a single least-squares
-backend serves both policies.  Fits go through an SVD of the column-scaled
-design matrix -- never raw normal equations, since a raw t^10 column at
-s ~ 10^4 spans ~40 orders of magnitude.  Fitted values are invariant to the
-column scaling, so results don't depend on that internal convention.
+Every candidate model is linear in its parameters and its span holds the
+constant and the line t, so one least-squares kernel serves both policies
+and every candidate at once:
+
+* ``DesignFit`` takes the SVD of a basis' column-scaled design once per
+  (basis, s, abscissa) -- never raw normal equations, since a raw t^10
+  column at s ~ 10^4 spans ~40 orders of magnitude -- and keeps W, an
+  orthonormal basis of the part of the span orthogonal to {1, t}: one
+  column per candidate of Q, m - 1 for a polynomial of order m.
+* Segments are centred first.  That is exact, since every span holds the
+  constant, and it takes a segment's level out of the rounding: errors then
+  scale with the centred segment, not with its offset.
+* One product C = [e_t, W_1, W_2, ...]^T Y_c serves all bases.  The linear
+  residual R = Y_c - e_t C_0 is formed once; ss_tot = |R|^2 + C_0^2, a sum
+  with no cancellation, and ss_res of basis b is |R|^2 - |C_b|^2.
+* Guard: where ss_res_b < RESIDUAL_GUARD * |R|^2 that difference has lost
+  digits, and those segments take the explicit residual R - W_b W_b^T R.
+* A batch goes through in blocks of about BLOCK_VALUES values, so the
+  centred block, R and its one temporary stay in cache and no array of the
+  batch's size is allocated; the segments can be a strided view.
+
+Fitted values are invariant to the column scaling, so results don't depend
+on that internal convention.
 """
 
 from __future__ import annotations
@@ -30,21 +48,43 @@ TIE_EPS = 1e-12
 #: the same level counts as a perfect fit of such a segment
 R2_ZERO_TOL = 1e-12
 
+#: a residual sum below this share of the linear residual's is recomputed
+#: explicitly: |R|^2 - |C_b|^2 carries an error of about eps * |R|^2, so the
+#: difference keeps a relative accuracy of eps / RESIDUAL_GUARD ~ 2e-13
+RESIDUAL_GUARD = 1e-3
 
-def _noise_floor(peak, s):
-    """Sum-of-squares level indistinguishable from rounding on a constant segment."""
-    return s * (R2_ZERO_TOL * peak) ** 2
+#: the kernel takes a batch in blocks of rows holding about this many values
+#: (256 KiB), so each pass over a block stays in a core's cache and no array
+#: of the batch's size is allocated
+BLOCK_VALUES = 2 ** 15
+
+#: a unit vector of {1, t} left this far outside a design's span means the
+#: span does not contain it; built-in bases sit near 1e-14
+SPAN_TOL = 1e-6
 
 
-def _r_squared(Y: np.ndarray, ss_res: np.ndarray) -> np.ndarray:
-    """R^2 of fits to the columns of Y (shape (s, M)) from their residual sums.
+def _linear_frame(s: int) -> np.ndarray:
+    """Orthonormal basis (s, 2) of {1, t}: the constant, then the centred line e_t."""
+    t = np.arange(s) - (s - 1) / 2.0
+    E = np.empty((s, 2))
+    E[:, 0] = 1.0 / np.sqrt(s)
+    E[:, 1] = t / np.sqrt(t @ t)
+    return E
 
-    ss_res has shape (M,) or (n_bases, M).  Numerically constant columns
+
+def _noise_floor(Y: np.ndarray) -> np.ndarray:
+    """Per row of Y, the sum-of-squares level indistinguishable from rounding
+    on a constant segment of that row's magnitude."""
+    peak = np.maximum(Y.max(axis=1), -Y.min(axis=1))
+    return Y.shape[1] * (R2_ZERO_TOL * peak) ** 2
+
+
+def _r_squared(ss_tot: np.ndarray, floor: np.ndarray, ss_res: np.ndarray) -> np.ndarray:
+    """R^2 of fits to M segments from their sums of squares and noise floors.
+
+    ss_res has shape (M,) or (n_bases, M).  Numerically constant segments
     are scored as coefficient_of_determination describes.
     """
-    ybar = Y.mean(axis=0)
-    ss_tot = np.einsum("ij,ij->j", Y - ybar, Y - ybar)
-    floor = _noise_floor(np.abs(Y).max(axis=0, initial=0.0), Y.shape[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(
             ss_tot > floor,
@@ -58,9 +98,58 @@ def _best_basis(r2: np.ndarray) -> np.ndarray:
     return np.argmax(r2 >= r2.max(axis=0) - TIE_EPS, axis=0)
 
 
+def _directions(s: int, ops: Sequence["DesignFit"]) -> np.ndarray:
+    """[e_t, W_1, W_2, ...]: the line, then every design's own directions, (s, 1 + sum w)."""
+    return np.column_stack([_linear_frame(s)[:, 1]] + [op.W for op in ops])
+
+
+def _kernel(Y: np.ndarray, ops: Sequence["DesignFit"], B: np.ndarray):
+    """The detrending kernel, for the rows of Y (shape (M, s)) and every design.
+
+    B is _directions(s, ops).  Returns (ss_res, ss_tot, floor, R):
+    residual sums of squares with shape (len(ops), M), total sums of squares
+    about the row means, the rows' noise floors, and the linear residuals
+    R (M, s).
+    """
+    R = Y - Y.mean(axis=1, keepdims=True)
+    C = R @ B
+    R -= np.multiply.outer(C[:, 0], B[:, 0])
+    rr = np.einsum("ij,ij->i", R, R)
+    ss_res = np.empty((len(ops), Y.shape[0]))
+    col = 1
+    for b, op in enumerate(ops):
+        Cb = C[:, col:col + op.W.shape[1]]
+        col += op.W.shape[1]
+        ss_res[b] = rr - np.einsum("ij,ij->i", Cb, Cb)
+        low = np.flatnonzero(ss_res[b] < RESIDUAL_GUARD * rr)
+        if low.size:
+            resid = R[low]
+            resid -= (resid @ op.W) @ op.W.T
+            ss_res[b, low] = np.einsum("ij,ij->i", resid, resid)
+    return ss_res, rr + C[:, 0] ** 2, _noise_floor(Y), R
+
+
+def _residual_sums(Y: np.ndarray, ops: Sequence["DesignFit"]):
+    """(ss_res, ss_tot, floor) of _kernel over a whole batch, BLOCK_VALUES at a time."""
+    M, s = Y.shape
+    B = _directions(s, ops)
+    ss_res, ss_tot, floor = np.empty((len(ops), M)), np.empty(M), np.empty(M)
+    rows = max(1, BLOCK_VALUES // s)
+    for i in range(0, M, rows):
+        block = slice(i, i + rows)
+        ss_res[:, block], ss_tot[block], floor[block], _ = _kernel(Y[block], ops, B)
+    return ss_res, ss_tot, floor
+
+
 @dataclass(frozen=True)
 class BasisFunction:
-    """A trend model linear in its parameters: trend(t) = sum_j c_j phi_j(t)."""
+    """A trend model linear in its parameters: trend(t) = sum_j c_j phi_j(t).
+
+    The span must contain the constant and the line t (every built-in basis
+    lists both as regressors): the detrending kernel centres each segment
+    and removes its line before it looks at the rest of the span.
+    ``DesignFit`` rejects any other basis with an InputError.
+    """
 
     name: str
     regressors: tuple[Callable[[np.ndarray], np.ndarray], ...]
@@ -117,10 +206,11 @@ class FitResult:
 class DesignFit:
     """Precomputed least-squares operator for one (basis, s, abscissa).
 
-    Shares a single SVD across all segments of a scale, which is where the
-    batched pipeline spends its time.  Rank decisions use the usual
-    max(shape) * eps * sigma_max cutoff; rank-deficient designs fall back to
-    the minimum-norm solution and are flagged.
+    Shares a single SVD across all segments of a scale.  Rank decisions use
+    the usual max(shape) * eps * sigma_max cutoff; rank-deficient designs
+    keep the span of their numerical range and are flagged.  W holds an
+    orthonormal basis (s, rank - 2) of the part of the span orthogonal to
+    the constant and the line t.
     """
 
     def __init__(self, basis: BasisFunction, s: int, abscissa: str = "raw"):
@@ -130,36 +220,42 @@ class DesignFit:
                 f"{basis.parameter_count} of basis {basis.name!r}"
             )
         A = basis.design(s, abscissa)
-        norms = np.linalg.norm(A, axis=0)
+        norms = np.sqrt(np.einsum("ij,ij->j", A, A))
         norms[norms == 0.0] = 1.0
         U, sv, _ = np.linalg.svd(A / norms, full_matrices=False)
         rcond = max(A.shape) * np.finfo(float).eps
         rank = int(np.count_nonzero(sv > rcond * sv[0]))
+        U = U[:, :rank]
+        not_spanned = InputError(
+            f"basis {basis.name!r} does not span the constant and t; "
+            "every segment is centred and its line removed, so both must be in the span"
+        )
+        if rank < 2:
+            raise not_spanned
+        # G's singular values are the cosines of the angles between {1, t}
+        # and the span: 1 - cos^2 is the squared distance from the span of
+        # the unit vector of {1, t} that lies farthest from it
+        G = U.T @ _linear_frame(s)
+        V, cos, _ = np.linalg.svd(G)
+        if 1.0 - cos[-1] ** 2 > SPAN_TOL ** 2:
+            raise not_spanned
         self.basis = basis
-        self._U = U[:, :rank]
+        # the directions of span(U) orthogonal to G, i.e. to {1, t}
+        self.W = U @ V[:, 2:]
         self.rank_deficient = rank < basis.parameter_count
-
-    def fitted_many(self, Y: np.ndarray) -> np.ndarray:
-        """Projections of the columns of Y (shape (s, M)) onto the span."""
-        return self._U @ (self._U.T @ Y)
-
-    def ss_res_many(self, Y: np.ndarray) -> np.ndarray:
-        resid = Y - self.fitted_many(Y)
-        return np.einsum("ij,ij->j", resid, resid)
 
 
 def fit_least_squares(segment, basis: BasisFunction, abscissa: str = "raw") -> FitResult:
-    """Least-squares fit of one basis to one segment."""
+    """Least-squares fit of one basis to one segment (a batch of one for the kernel)."""
     y = np.asarray(segment, dtype=float)
     op = DesignFit(basis, y.size, abscissa)
-    Y = y[:, None]
-    fitted = op.fitted_many(Y)
-    resid = Y - fitted
-    ss_res = np.einsum("ij,ij->j", resid, resid)
+    Y = y[None, :]
+    ss_res, ss_tot, floor, R = _kernel(Y, [op], _directions(y.size, [op]))
+    resid = R - (R @ op.W) @ op.W.T
     return FitResult(
-        fitted=fitted[:, 0],
-        ss_res=float(ss_res[0]),
-        r_squared=float(_r_squared(Y, ss_res)[0]),
+        fitted=y - resid[0],
+        ss_res=float(ss_res[0, 0]),
+        r_squared=float(_r_squared(ss_tot, floor, ss_res[0])[0]),
         rank_deficient=op.rank_deficient,
     )
 
@@ -172,8 +268,9 @@ def coefficient_of_determination(segment, fit: FitResult) -> float:
     otherwise.  The cutoff is relative, so selection is invariant under
     rescaling the segment.
     """
-    y = np.asarray(segment, dtype=float)
-    return float(_r_squared(y[:, None], np.array([fit.ss_res]))[0])
+    Y = np.asarray(segment, dtype=float)[None, :]
+    _, ss_tot, floor = _residual_sums(Y, [])
+    return float(_r_squared(ss_tot, floor, np.array([fit.ss_res]))[0])
 
 
 def select_trend(segment, q_set: Sequence[BasisFunction],
@@ -221,20 +318,20 @@ DetrendPolicy = FixedPolynomial | FlexibleBasis
 
 
 def batch_segment_variances(segments: np.ndarray, policy: DetrendPolicy):
-    """Detrended variance F^2 for a batch of segments (rows).
+    """Detrended variance F^2 for a batch of segments (rows, possibly a
+    strided view of the profile).
 
-    Returns (variances, chosen) where chosen holds the 0-based winning
-    basis index per segment under the flexible policy and is None for the
-    fixed one.  All segments share one design per basis, so the SVD cost
-    is paid once per (scale, basis).
+    Returns (variances, chosen, rank_deficient): chosen holds the 0-based
+    winning basis index per segment under the flexible policy and is None
+    for the fixed one; rank_deficient flags each of the policy's designs.
+    All segments share one design per basis, so the SVD cost is paid once
+    per (scale, basis).
     """
     M, s = segments.shape
-    Y = segments.T
-    bases = policy.bases()
-    ops = [DesignFit(b, s, policy.abscissa) for b in bases]
+    ops = [DesignFit(b, s, policy.abscissa) for b in policy.bases()]
+    ss_res, ss_tot, floor = _residual_sums(segments, ops)
+    flags = tuple(op.rank_deficient for op in ops)
     if isinstance(policy, FixedPolynomial):
-        ss_res = ops[0].ss_res_many(Y)
-        return ss_res / s, None
-    ss_res = np.stack([op.ss_res_many(Y) for op in ops])
-    chosen = _best_basis(_r_squared(Y, ss_res))
-    return ss_res[chosen, np.arange(M)] / s, chosen
+        return ss_res[0] / s, None, flags
+    chosen = _best_basis(_r_squared(ss_tot, floor, ss_res))
+    return ss_res[chosen, np.arange(M)] / s, chosen, flags

@@ -26,11 +26,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import logsumexp
 
 from .detrend import DetrendPolicy, FlexibleBasis, batch_segment_variances
 from .errors import InputError, NumericalError
 from .segmentation import layout
+
+
+def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along axis, shifted by the maximum so exp cannot overflow."""
+    peak = a.max(axis=axis, keepdims=True)
+    return np.log(np.exp(a - peak).sum(axis=axis)) + np.squeeze(peak, axis=axis)
 
 
 def default_q_grid(q_min: float = -10.0, q_max: float = 10.0,
@@ -59,13 +64,17 @@ class FluctuationSurface:
     excluded_counts: np.ndarray           # zero-variance segments per scale
     usable: np.ndarray                    # per-scale: any positive variance at all
     selection_counts: np.ndarray | None = field(default=None)  # (n_scales, |Q|), flexible only
-    basis_names: tuple[str, ...] | None = None
+    basis_names: tuple[str, ...] = ()     # the policy's bases, in order
+    rank_deficient: np.ndarray | None = None  # (n_scales, n_bases): design rank below its parameters
 
 
 def fluctuation_function(profile, scales, k: int, policy: DetrendPolicy,
                          q_grid) -> FluctuationSurface:
     """Steps 2-4: segment, detrend, and aggregate over the scale grid.
 
+    The segments of a scale are a strided view of the profile with the
+    starts of ``layout``; the detrending kernel centres them into the one
+    (M, s) array a scale allocates.
     At each scale the nonzero q are aggregated a block of rows at a time,
     one logsumexp over the (rows, M) matrix of q/2 * ln F^2 per block.  A
     block holds at most max(1, s // 4) rows: at s >= 4 it is at most a
@@ -84,17 +93,19 @@ def fluctuation_function(profile, scales, k: int, policy: DetrendPolicy,
 
     q_nz = np.flatnonzero(q != 0.0)
     flexible = isinstance(policy, FlexibleBasis)
-    n_bases = len(policy.bases())
+    names = tuple(b.name for b in policy.bases())
+    n_bases = len(names)
     values = np.full((q.size, scales.size), np.nan)
     seg_counts = np.zeros(scales.size, dtype=int)
     excl_counts = np.zeros(scales.size, dtype=int)
     usable = np.zeros(scales.size, dtype=bool)
+    rank_deficient = np.zeros((scales.size, n_bases), dtype=bool)
     sel_counts = np.zeros((scales.size, n_bases), dtype=int) if flexible else None
 
     for j, s in enumerate(scales):
         win = layout(y.size, int(s), k)
-        segments = sliding_window_view(y, int(s))[win.starts]
-        fsq, chosen = batch_segment_variances(segments, policy)
+        segments = sliding_window_view(y, int(s))[::int(s) // k]
+        fsq, chosen, rank_deficient[j] = batch_segment_variances(segments, policy)
         seg_counts[j] = win.count
         if flexible:
             sel_counts[j] = np.bincount(chosen, minlength=n_bases)
@@ -119,9 +130,9 @@ def fluctuation_function(profile, scales, k: int, policy: DetrendPolicy,
             f"only {int(usable.sum())} usable scales out of {scales.size}; "
             "the scaling regression needs at least 4"
         )
-    names = tuple(b.name for b in policy.bases()) if flexible else None
     return FluctuationSurface(
         q_grid=q, scales=scales, values=values,
         segment_counts=seg_counts, excluded_counts=excl_counts,
         usable=usable, selection_counts=sel_counts, basis_names=names,
+        rank_deficient=rank_deficient,
     )

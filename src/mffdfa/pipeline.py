@@ -82,6 +82,10 @@ class ResultDocument:
             "segment_counts": self.surface.segment_counts.tolist(),
             "excluded_counts": self.surface.excluded_counts.tolist(),
             "usable_scales": int(self.surface.usable.sum()),
+            "rank_deficient": {
+                name: col.tolist()
+                for name, col in zip(self.surface.basis_names, self.surface.rank_deficient.T)
+            },
         }
         if self.surface.selection_counts is not None:
             totals = self.surface.selection_counts.sum(axis=0)

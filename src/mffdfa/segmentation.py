@@ -60,7 +60,9 @@ def default_scale_grid(N: int, s_min: int = 30, s_max: int | None = None,
         raise InputError(f"s_min={s_min} too small; detrending needs more samples than parameters")
     if not (s_min < s_max <= N):
         raise InputError(f"need s_min < s_max <= N, got s_min={s_min} s_max={s_max} N={N}")
-    grid = np.unique(np.rint(np.geomspace(s_min, s_max, n_scales)).astype(int))
+    # sort and drop repeats; np.unique would load numpy.ma on first use
+    grid = np.sort(np.rint(np.geomspace(s_min, s_max, n_scales)).astype(int))
+    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
     if grid.size < 4:
         raise InputError(f"only {grid.size} distinct scales in [{s_min}, {s_max}]; widen the range")
     return grid

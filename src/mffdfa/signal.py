@@ -44,7 +44,8 @@ def build_profile(series) -> np.ndarray:
     """
     x = as_series(series)
     wide = x.astype(np.longdouble)
-    return np.cumsum(wide - wide.mean()).astype(float)
+    wide -= wide.mean()
+    return np.cumsum(wide, out=wide).astype(float)
 
 
 def log_returns(prices) -> np.ndarray:

@@ -67,13 +67,13 @@ def textbook_mfdfa(x, scales, q_values, m):
     return F
 
 
-def power_means_per_q(fsq, q_values):
+def power_means_per_q(fsq, q_values, lse=logsumexp):
     """F_q of one scale from its segment variances, one logsumexp per q.
 
     The per-q loop form of the aggregation: zero variances are dropped,
     q > 0 divides by every segment and q < 0 by the nonzero ones only, and
     q = 0 is the geometric mean.  Returns NaN everywhere when no variance
-    is positive.
+    is positive.  `lse(a, axis)` reduces each 1-D vector; SciPy's by default.
     """
     fsq = np.asarray(fsq, dtype=float)
     nonzero = fsq > 0.0
@@ -86,9 +86,9 @@ def power_means_per_q(fsq, q_values):
         if qq == 0.0:
             out[i] = np.exp(log_fsq.mean() / 2.0)
         elif qq > 0.0:
-            out[i] = np.exp((logsumexp(qq / 2.0 * log_fsq) - np.log(fsq.size)) / qq)
+            out[i] = np.exp((lse(qq / 2.0 * log_fsq, axis=0) - np.log(fsq.size)) / qq)
         else:
-            out[i] = np.exp((logsumexp(qq / 2.0 * log_fsq) - np.log(m_nz)) / qq)
+            out[i] = np.exp((lse(qq / 2.0 * log_fsq, axis=0) - np.log(m_nz)) / qq)
     return out
 
 
@@ -125,6 +125,29 @@ def normal_equations_fitted(columns, y, dps=40):
         c = mpmath.lu_solve(AtA, Atb)
         fitted = A * c
         return np.asarray([float(v) for v in fitted])
+
+
+def ss_res_extended(segments, design):
+    """Residual sums of squares of least squares per row, in np.longdouble.
+
+    `segments` holds one segment per row and `design` one regressor per
+    column, both float64.  Each row is centred, then projected off an
+    orthonormal basis of the design's span built by Gram-Schmidt with every
+    column orthogonalised twice; the residual is orthogonalised twice as
+    well.  The design must have full column rank.
+    """
+    A = np.asarray(design, dtype=np.longdouble)[:, ::-1]
+    Q = np.zeros_like(A)
+    for j in range(A.shape[1]):
+        v = A[:, j].copy()
+        for _ in range(2):
+            v -= Q[:, :j] @ (Q[:, :j].T @ v)
+        Q[:, j] = v / np.sqrt(v @ v)
+    R = np.asarray(segments, dtype=np.longdouble)
+    R = R - R.mean(axis=1, keepdims=True)
+    for _ in range(2):
+        R = R - (R @ Q) @ Q.T
+    return np.sum(R * R, axis=1)
 
 
 def popcount_cascade(a, n_max):

@@ -56,6 +56,9 @@ def test_analyze_json_schema_and_diagnostics(tmp_path, capsys):
     assert len(doc["hurst"]["h"]) == len(doc["hurst"]["q"])
     assert len(doc["spectrum"]["alpha"]) == len(doc["spectrum"]["q"])
     assert doc["delta_alpha"] > 0.0
+    n_scales = len(diag["scales"])
+    assert diag["rank_deficient"] == {name: [False] * n_scales
+                                      for name in ("quadratic", "sine", "cubic")}
 
 
 def test_analyze_csv_output(tmp_path):
@@ -107,6 +110,19 @@ def test_analyze_has_no_seed_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", str(src), "--seed", "1"])
     assert exc.value.code == 2
+
+
+def test_import_does_not_load_scipy():
+    # SciPy is a test-only dependency; the runtime needs NumPy alone.  An
+    # analysis does not load numpy.ma either, whose lazy import would count
+    # as the first analysis' memory.
+    env = dict(os.environ, PYTHONPATH=str(Path(mffdfa.__file__).resolve().parents[1]))
+    code = ("import sys, numpy as np, mffdfa, mffdfa.cli; print('scipy' in sys.modules); "
+            "mffdfa.analyze_series(np.random.default_rng(0).standard_normal(2000), "
+            "mffdfa.AnalysisConfig()); print('scipy' in sys.modules, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\nFalse False\n", "")
 
 
 def test_module_entry_point_runs_without_warning():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mffdfa import (
+    FixedPolynomial,
     FlexibleBasis,
     InputError,
     coefficient_of_determination,
@@ -19,7 +20,7 @@ from mffdfa import (
     polynomial_basis,
     select_trend,
 )
-from mffdfa.detrend import batch_segment_variances
+from mffdfa.detrend import RESIDUAL_GUARD, batch_segment_variances
 
 import oracles
 
@@ -63,6 +64,20 @@ def test_rank_deficient_design_is_flagged():
     fit = fit_least_squares(np.arange(20.0), dup)
     assert fit.rank_deficient
     np.testing.assert_allclose(fit.fitted, np.arange(20.0), atol=1e-9)
+
+
+def test_basis_without_constant_and_line_is_rejected():
+    from mffdfa import BasisFunction
+    from mffdfa.detrend import DesignFit
+    no_line = BasisFunction("t2t3", (lambda t: t * t, lambda t: t ** 3))
+    with pytest.raises(InputError, match="does not span the constant and t"):
+        fit_least_squares(np.arange(30.0), no_line)
+    with pytest.raises(InputError, match="does not span"):
+        batch_segment_variances(np.ones((4, 30)), FlexibleBasis(basis_set=(no_line,)))
+    # a rank-deficient design whose span is exactly {1, t} is fine
+    dup = BasisFunction("dup", (lambda t: t, lambda t: 2 * t, np.ones_like))
+    fit = DesignFit(dup, 20)
+    assert fit.rank_deficient and fit.W.shape == (20, 0)
 
 
 def test_fit_rejects_short_segment():
@@ -199,7 +214,7 @@ def segment_batches(draw):
 @given(segment_batches())
 @settings(max_examples=60)
 def test_select_trend_agrees_with_batched_selection(batch):
-    variances, chosen = batch_segment_variances(batch, FlexibleBasis())
+    variances, chosen, _ = batch_segment_variances(batch, FlexibleBasis())
     s = batch.shape[1]
     for row, var, best in zip(batch, variances, chosen):
         idx, fit = select_trend(row, default_basis_set())
@@ -226,3 +241,58 @@ def test_column_scaling_equivalence(rng):
 def test_select_trend_rejects_empty_q():
     with pytest.raises(InputError):
         select_trend(np.ones(10), [])
+
+
+def _single_basis_policies():
+    """Every default basis on its own, and two fixed orders, as batch policies."""
+    return ([FlexibleBasis(basis_set=(b,)) for b in default_basis_set()]
+            + [FixedPolynomial(m) for m in (1, 3)])
+
+
+def _batched_ss_res(segments, policy):
+    variances, _, _ = batch_segment_variances(segments, policy)
+    return variances * segments.shape[1]
+
+
+def test_ss_res_matches_extended_precision(fgn_bank):
+    """Batched ss_res per basis against a twice-orthogonalised longdouble fit.
+
+    Profile segments carry a large offset and a large linear trend next to a
+    small residual, which is where an uncentred projection loses digits.
+    """
+    profiles = {
+        "cascade": build_profile(generate_cascade(CascadeSpec(a=0.65, n_max=20))),
+        "fgn": build_profile(fgn_bank(0.5, 10_000, 0)),
+    }
+    rng = np.random.default_rng(6)
+    for name, profile in profiles.items():
+        for s in (30, 122, 2042):
+            starts = rng.integers(0, profile.size - s + 1, 150)
+            segs = profile[starts[:, None] + np.arange(s)]
+            for policy in _single_basis_policies():
+                (basis,) = policy.bases()
+                ref = oracles.ss_res_extended(segs, basis.design(s)).astype(float)
+                np.testing.assert_allclose(_batched_ss_res(segs, policy), ref, rtol=1e-11,
+                                           err_msg=f"{name} s={s} {basis.name}")
+
+
+def test_near_exact_cubic_matches_extended_precision(rng):
+    """a t^3 + b t + c plus 1e-10 scatter, at about 2000 times the scatter.
+
+    The cubic fits leave far less than RESIDUAL_GUARD of the linear
+    residual, so they take the explicit residual; |R|^2 - |C_b|^2 alone is
+    off by about 1e-8 here.
+    """
+    s = 122
+    x = np.arange(1, s + 1) / s
+    a = rng.uniform(2e-6, 4e-6, 40) * rng.choice([-1.0, 1.0], 40)
+    lines = rng.uniform(-1e-6, 1e-6, (40, 2)) @ np.stack([x, np.ones(s)])
+    segs = a[:, None] * x ** 3 + lines + 1e-10 * rng.standard_normal((40, s))
+    linear = oracles.ss_res_extended(segs, polynomial_basis(1).design(s)).astype(float)
+    for policy in _single_basis_policies():
+        (basis,) = policy.bases()
+        ref = oracles.ss_res_extended(segs, basis.design(s)).astype(float)
+        if basis.name in ("cubic", "poly3"):
+            assert np.all(ref < RESIDUAL_GUARD * linear)
+        np.testing.assert_allclose(_batched_ss_res(segs, policy), ref, rtol=1e-11,
+                                   err_msg=basis.name)

@@ -37,7 +37,7 @@ def test_q_grid_rejects_bad_step():
 
 def _variances_vs_oracle(segments, m):
     """Batched F^2 per row, and the direct sum over one fit per row."""
-    variances, chosen = batch_segment_variances(segments, FixedPolynomial(m))
+    variances, chosen, _ = batch_segment_variances(segments, FixedPolynomial(m))
     assert chosen is None
     direct = [oracles.segment_variance_direct(seg, fit_least_squares(
         seg, polynomial_basis(m)).fitted) for seg in segments]
@@ -76,7 +76,7 @@ def test_constant_variance_surface_is_flat_in_q(monkeypatch):
     import mffdfa.fluctuation as fl
     v = 0.7303
     monkeypatch.setattr(fl, "batch_segment_variances",
-                        lambda segments, policy: (np.full(len(segments), v), None))
+                        lambda segments, policy: (np.full(len(segments), v), None, (False,)))
     prof = _white_profile()
     surface = fl.fluctuation_function(prof, default_scale_grid(4000), 2,
                                       FixedPolynomial(m=2), default_q_grid())
@@ -160,22 +160,38 @@ def test_aggregation_equals_per_q_loop(monkeypatch, profile, scales, k, policy, 
     recorded = []
 
     def recording(segments, policy):
-        fsq, chosen = batch_segment_variances(segments, policy)
+        fsq, chosen, flags = batch_segment_variances(segments, policy)
         recorded.append(fsq)
-        return fsq, chosen
+        return fsq, chosen, flags
 
     monkeypatch.setattr(fl, "batch_segment_variances", recording)
     q = default_q_grid()
     surface = fl.fluctuation_function(profile, scales, k, policy, q)
-    expected = np.column_stack([oracles.power_means_per_q(fsq, q) for fsq in recorded])
+    # the loop reduces with the package's logsumexp, so blocking must not move a bit
+    expected = np.column_stack([oracles.power_means_per_q(fsq, q, fl.logsumexp)
+                                for fsq in recorded])
     np.testing.assert_array_equal(surface.values, expected)
+    # and SciPy's logsumexp agrees to rounding
+    scipy_loop = np.column_stack([oracles.power_means_per_q(fsq, q) for fsq in recorded])
+    np.testing.assert_allclose(surface.values, scipy_loop, rtol=1e-14)
     assert (int(surface.excluded_counts.sum()) > 0) == excludes
+
+
+def test_logsumexp_matches_scipy_without_overflow(rng):
+    from scipy.special import logsumexp as scipy_logsumexp
+    import mffdfa.fluctuation as fl
+    a = rng.standard_normal((7, 300)) * np.array([1e-3, 1, 10, 100, 700, 1e4, 1e6])[:, None]
+    out = fl.logsumexp(a, axis=1)
+    assert np.all(np.isfinite(out))
+    np.testing.assert_allclose(out, scipy_logsumexp(a, axis=1), rtol=1e-14)
+    assert out[3] == fl.logsumexp(a[3], axis=0)
 
 
 def test_aggregation_memory_stays_within_the_segment_matrix(monkeypatch):
     import mffdfa.fluctuation as fl
     monkeypatch.setattr(fl, "batch_segment_variances",
-                        lambda segments, policy: (np.linspace(0.5, 2.0, len(segments)), None))
+                        lambda segments, policy: (np.linspace(0.5, 2.0, len(segments)), None,
+                                                  (False,)))
     n, k = 2 ** 16, 2
     profile = _white_profile(n)
     scales = default_scale_grid(n)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -68,6 +69,20 @@ def test_k1_reduces_to_classical_division(args):
     win = layout(N, s, 1)
     assert win.count == N // s
     assert win.starts.tolist() == [v * s for v in range(N // s)]
+
+
+@pytest.mark.parametrize("N, s, k", [
+    (300, 100, 2), (300, 100, 1), (1000, 30, 2), (1001, 30, 3), (97, 10, 10),
+    (50, 7, 7), (64, 64, 1), (64, 64, 4), (12345, 1234, 2),
+])
+def test_strided_window_view_has_the_layout_starts(N, s, k):
+    # fluctuation_function takes the segments of a scale as this view
+    y = np.arange(N, dtype=float)
+    segments = sliding_window_view(y, s)[::s // k]
+    win = layout(N, s, k)
+    assert segments.shape == (win.count, s)
+    np.testing.assert_array_equal(segments[:, 0], win.starts)
+    np.testing.assert_array_equal(segments, y[win.starts[:, None] + np.arange(s)])
 
 
 def test_default_grid_standard_parameters():
