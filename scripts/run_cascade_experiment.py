@@ -19,7 +19,7 @@ import numpy as np
 
 from mffdfa import (
     CascadeSpec,
-    FlexibleBasis,
+    DetrendPolicy,
     build_profile,
     cascade_oracle,
     default_q_grid,
@@ -35,7 +35,7 @@ def run_one(a: float, n_max: int, s_lo: int, s_hi: int):
     profile = build_profile(x)
     scales = 2 ** np.arange(s_lo, s_hi + 1)
     q = default_q_grid()
-    surface = fluctuation_function(profile, scales, 1, FlexibleBasis(), q)
+    surface = fluctuation_function(profile, scales, 1, DetrendPolicy(), q)
     gh = fit_hurst(surface)
     spec = legendre_transform(gh)
     fractions = surface.selection_counts.sum(axis=0) / surface.segment_counts.sum()

@@ -17,8 +17,8 @@ import json
 import numpy as np
 
 from mffdfa import (
+    DetrendPolicy,
     FbmSpec,
-    FlexibleBasis,
     build_profile,
     default_q_grid,
     default_scale_grid,
@@ -33,7 +33,7 @@ def run_one(hurst: float, length: int, seed: int, k: int):
     x = generate_fgn(FbmSpec(hurst=hurst, length=length, seed=seed))
     profile = build_profile(x)
     scales = default_scale_grid(length)
-    surface = fluctuation_function(profile, scales, k, FlexibleBasis(), default_q_grid())
+    surface = fluctuation_function(profile, scales, k, DetrendPolicy(), default_q_grid())
     gh = fit_hurst(surface)
     spec = legendre_transform(gh)
     h2 = float(gh.h[np.argmin(np.abs(gh.q_grid - 2.0))])

@@ -11,14 +11,11 @@ coefficient of determination instead of being one fixed polynomial.
 from .detrend import (
     BasisFunction,
     DesignFit,
+    DetrendPolicy,
     FitResult,
-    FixedPolynomial,
-    FlexibleBasis,
-    coefficient_of_determination,
     default_basis_set,
     fit_least_squares,
     polynomial_basis,
-    select_trend,
 )
 from .errors import InputError, NumericalError
 from .fluctuation import FluctuationSurface, default_q_grid, fluctuation_function
@@ -32,7 +29,7 @@ from .generators import (
     generate_fgn,
 )
 from .pipeline import AnalysisConfig, ResultDocument, analyze_series
-from .segmentation import SegmentLayout, default_scale_grid, layout
+from .segmentation import default_scale_grid, layout
 from .signal import as_series, build_profile, log_returns
 from .spectrum import GeneralizedHurst, SingularitySpectrum, fit_hurst, legendre_transform
 
@@ -40,14 +37,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisConfig", "ResultDocument", "analyze_series",
-    "BasisFunction", "DesignFit", "FitResult", "FixedPolynomial", "FlexibleBasis",
-    "coefficient_of_determination", "default_basis_set", "fit_least_squares",
-    "polynomial_basis", "select_trend",
+    "BasisFunction", "DesignFit", "DetrendPolicy", "FitResult",
+    "default_basis_set", "fit_least_squares", "polynomial_basis",
     "InputError", "NumericalError",
     "FluctuationSurface", "default_q_grid", "fluctuation_function",
     "CascadeOracle", "CascadeSpec", "FbmSpec", "cascade_oracle",
     "fgn_autocovariance", "generate_cascade", "generate_fgn",
-    "SegmentLayout", "default_scale_grid", "layout",
+    "default_scale_grid", "layout",
     "as_series", "build_profile", "log_returns",
     "GeneralizedHurst", "SingularitySpectrum", "fit_hurst", "legendre_transform",
     "__version__",

@@ -1,15 +1,12 @@
 """Per-segment trend estimation.
 
-Two detrending policies coexist:
-
-* a fixed polynomial of order m (classical MFDFA-m), and
-* the flexible variant, where every candidate of a small basis set Q is
-  fitted to each segment and the winner is picked by coefficient of
-  determination.
+One detrending policy: every candidate of a small basis set Q is fitted to
+each segment and the winner is picked by coefficient of determination.
+Classical MFDFA-m is the one-member set Q = {polynomial of order m}.
 
 Every candidate model is linear in its parameters and its span holds the
-constant and the line t, so one least-squares kernel serves both policies
-and every candidate at once:
+constant and the line t, so one least-squares kernel serves every
+candidate at once:
 
 * ``DesignFit`` takes the SVD of a basis' column-scaled design once per
   (basis, s, abscissa) -- never raw normal equations, since a raw t^10
@@ -82,8 +79,10 @@ def _noise_floor(Y: np.ndarray) -> np.ndarray:
 def _r_squared(ss_tot: np.ndarray, floor: np.ndarray, ss_res: np.ndarray) -> np.ndarray:
     """R^2 of fits to M segments from their sums of squares and noise floors.
 
-    ss_res has shape (M,) or (n_bases, M).  Numerically constant segments
-    are scored as coefficient_of_determination describes.
+    ss_res has shape (M,) or (n_bases, M).  A numerically constant segment
+    carries no variance to explain: a fit scores 1 when its residual sits
+    at rounding level too and 0 otherwise.  The cutoff is relative, so
+    selection is invariant under rescaling the segment.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(
@@ -260,61 +259,22 @@ def fit_least_squares(segment, basis: BasisFunction, abscissa: str = "raw") -> F
     )
 
 
-def coefficient_of_determination(segment, fit: FitResult) -> float:
-    """R^2 of a fit, with the degenerate ss_tot ~ 0 case pinned down.
-
-    A (numerically) constant segment carries no variance to explain: the
-    fit scores 1 when its residual sits at rounding level too and 0
-    otherwise.  The cutoff is relative, so selection is invariant under
-    rescaling the segment.
-    """
-    Y = np.asarray(segment, dtype=float)[None, :]
-    _, ss_tot, floor = _residual_sums(Y, [])
-    return float(_r_squared(ss_tot, floor, np.array([fit.ss_res]))[0])
-
-
-def select_trend(segment, q_set: Sequence[BasisFunction],
-                 abscissa: str = "raw") -> tuple[int, FitResult]:
-    """Fit every basis in Q and keep the best by R^2 (Step 3).
-
-    Returns the 1-based index into Q (matching the f_1..f_3 naming) and the
-    winning fit.  R^2 ties within TIE_EPS go to the earliest basis, which
-    keeps runs deterministic.
-    """
-    if not q_set:
-        raise InputError("empty basis set")
-    fits = [fit_least_squares(segment, b, abscissa) for b in q_set]
-    chosen = int(_best_basis(np.array([f.r_squared for f in fits])))
-    return chosen + 1, fits[chosen]
-
-
 @dataclass(frozen=True)
-class FixedPolynomial:
-    """Classical detrending: the same order-m polynomial in every segment."""
+class DetrendPolicy:
+    """Per-segment winner-takes-all over the basis set Q, by R^2 (Step 3).
 
-    m: int = 2
+    Every basis of Q is fitted to every segment and the highest R^2 wins;
+    ties within TIE_EPS go to the earliest basis, which keeps runs
+    deterministic.  Classical MFDFA-m is the one-member set
+    ``(polynomial_basis(m),)``, whose only basis wins every segment.
+    """
+
+    bases: tuple[BasisFunction, ...] = field(default_factory=lambda: tuple(default_basis_set()))
     abscissa: str = "raw"
 
     def __post_init__(self):
-        if not 1 <= self.m <= 10:
-            raise InputError(f"detrending order m={self.m} outside the sweep range [1, 10]")
-
-    def bases(self) -> list[BasisFunction]:
-        return [polynomial_basis(self.m)]
-
-
-@dataclass(frozen=True)
-class FlexibleBasis:
-    """Per-segment winner-takes-all over the basis set Q."""
-
-    basis_set: tuple[BasisFunction, ...] = field(default_factory=lambda: tuple(default_basis_set()))
-    abscissa: str = "raw"
-
-    def bases(self) -> list[BasisFunction]:
-        return list(self.basis_set)
-
-
-DetrendPolicy = FixedPolynomial | FlexibleBasis
+        if not self.bases:
+            raise InputError("empty basis set")
 
 
 def batch_segment_variances(segments: np.ndarray, policy: DetrendPolicy):
@@ -322,16 +282,12 @@ def batch_segment_variances(segments: np.ndarray, policy: DetrendPolicy):
     strided view of the profile).
 
     Returns (variances, chosen, rank_deficient): chosen holds the 0-based
-    winning basis index per segment under the flexible policy and is None
-    for the fixed one; rank_deficient flags each of the policy's designs.
-    All segments share one design per basis, so the SVD cost is paid once
-    per (scale, basis).
+    winning basis index per segment, and rank_deficient flags each of the
+    policy's designs.  All segments share one design per basis, so the SVD
+    cost is paid once per (scale, basis).
     """
     M, s = segments.shape
-    ops = [DesignFit(b, s, policy.abscissa) for b in policy.bases()]
+    ops = [DesignFit(b, s, policy.abscissa) for b in policy.bases]
     ss_res, ss_tot, floor = _residual_sums(segments, ops)
-    flags = tuple(op.rank_deficient for op in ops)
-    if isinstance(policy, FixedPolynomial):
-        return ss_res[0] / s, None, flags
     chosen = _best_basis(_r_squared(ss_tot, floor, ss_res))
-    return ss_res[chosen, np.arange(M)] / s, chosen, flags
+    return ss_res[chosen, np.arange(M)] / s, chosen, tuple(op.rank_deficient for op in ops)

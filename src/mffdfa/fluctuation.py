@@ -22,12 +22,11 @@ F_0, so power-mean monotonicity in q is only guaranteed exclusion-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .detrend import DetrendPolicy, FlexibleBasis, batch_segment_variances
+from .detrend import DetrendPolicy, batch_segment_variances
 from .errors import InputError, NumericalError
 from .segmentation import layout
 
@@ -63,18 +62,18 @@ class FluctuationSurface:
     segment_counts: np.ndarray            # M_{s_k} per scale
     excluded_counts: np.ndarray           # zero-variance segments per scale
     usable: np.ndarray                    # per-scale: any positive variance at all
-    selection_counts: np.ndarray | None = field(default=None)  # (n_scales, |Q|), flexible only
-    basis_names: tuple[str, ...] = ()     # the policy's bases, in order
-    rank_deficient: np.ndarray | None = None  # (n_scales, n_bases): design rank below its parameters
+    selection_counts: np.ndarray          # (n_scales, |Q|): segments each basis won
+    basis_names: tuple[str, ...]          # the policy's bases, in order
+    rank_deficient: np.ndarray            # (n_scales, |Q|): design rank below its parameters
 
 
 def fluctuation_function(profile, scales, k: int, policy: DetrendPolicy,
                          q_grid) -> FluctuationSurface:
     """Steps 2-4: segment, detrend, and aggregate over the scale grid.
 
-    The segments of a scale are a strided view of the profile with the
-    starts of ``layout``; the detrending kernel centres them into the one
-    (M, s) array a scale allocates.
+    The segments of a scale are ``layout``'s strided view of the profile;
+    the detrending kernel centres them into the one (M, s) array a scale
+    allocates.
     At each scale the nonzero q are aggregated a block of rows at a time,
     one logsumexp over the (rows, M) matrix of q/2 * ln F^2 per block.  A
     block holds at most max(1, s // 4) rows: at s >= 4 it is at most a
@@ -92,33 +91,30 @@ def fluctuation_function(profile, scales, k: int, policy: DetrendPolicy,
         raise InputError("q grid must be non-empty and strictly increasing")
 
     q_nz = np.flatnonzero(q != 0.0)
-    flexible = isinstance(policy, FlexibleBasis)
-    names = tuple(b.name for b in policy.bases())
+    names = tuple(b.name for b in policy.bases)
     n_bases = len(names)
     values = np.full((q.size, scales.size), np.nan)
     seg_counts = np.zeros(scales.size, dtype=int)
     excl_counts = np.zeros(scales.size, dtype=int)
     usable = np.zeros(scales.size, dtype=bool)
     rank_deficient = np.zeros((scales.size, n_bases), dtype=bool)
-    sel_counts = np.zeros((scales.size, n_bases), dtype=int) if flexible else None
+    sel_counts = np.zeros((scales.size, n_bases), dtype=int)
 
     for j, s in enumerate(scales):
-        win = layout(y.size, int(s), k)
-        segments = sliding_window_view(y, int(s))[::int(s) // k]
+        segments = layout(y, int(s), k)
         fsq, chosen, rank_deficient[j] = batch_segment_variances(segments, policy)
-        seg_counts[j] = win.count
-        if flexible:
-            sel_counts[j] = np.bincount(chosen, minlength=n_bases)
+        seg_counts[j] = len(segments)
+        sel_counts[j] = np.bincount(chosen, minlength=n_bases)
 
         nonzero = fsq > 0.0
         m_nz = int(np.count_nonzero(nonzero))
-        excl_counts[j] = win.count - m_nz
+        excl_counts[j] = seg_counts[j] - m_nz
         if m_nz == 0:
             continue                      # unusable scale, stays NaN
         usable[j] = True
         log_fsq = np.log(fsq[nonzero])
         values[q == 0.0, j] = np.exp(log_fsq.mean() / 2.0)
-        log_m = np.where(q > 0.0, np.log(win.count), np.log(m_nz))
+        log_m = np.where(q > 0.0, np.log(seg_counts[j]), np.log(m_nz))
         rows = max(1, int(s) // 4)
         for b in range(0, q_nz.size, rows):
             idx = q_nz[b:b + rows]

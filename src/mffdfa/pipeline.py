@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detrend import FixedPolynomial, FlexibleBasis
+from .detrend import DetrendPolicy, polynomial_basis
 from .errors import InputError, NumericalError
 from .fluctuation import FluctuationSurface, default_q_grid, fluctuation_function
 from .segmentation import default_scale_grid
@@ -46,14 +46,20 @@ class AnalysisConfig:
             raise InputError(f"unknown method {self.method!r}; pick one of {METHODS}")
         if self.abscissa not in ("raw", "normalized"):
             raise InputError(f"abscissa must be 'raw' or 'normalized', got {self.abscissa!r}")
+        if not 1 <= self.m <= 10:
+            raise InputError(f"detrending order m={self.m} outside the sweep range [1, 10]")
+        if self.fit_lo is not None and self.fit_hi is not None and self.fit_lo > self.fit_hi:
+            raise InputError(f"fit window [{self.fit_lo}, {self.fit_hi}] is inverted; "
+                             "need fit_lo <= fit_hi")
 
     def effective_k(self) -> int:
         return 1 if self.method == "mfdfa" else self.k
 
-    def policy(self):
+    def policy(self) -> DetrendPolicy:
+        """The default Q under mffdfa; the one-member Q = {poly_m} otherwise."""
         if self.method == "mffdfa":
-            return FlexibleBasis(abscissa=self.abscissa)
-        return FixedPolynomial(m=self.m, abscissa=self.abscissa)
+            return DetrendPolicy(abscissa=self.abscissa)
+        return DetrendPolicy((polynomial_basis(self.m),), self.abscissa)
 
     def resolved(self, N: int, scales) -> dict:
         """The fields as run: the method's k, the grid's largest scale, and N."""
@@ -87,7 +93,8 @@ class ResultDocument:
                 for name, col in zip(self.surface.basis_names, self.surface.rank_deficient.T)
             },
         }
-        if self.surface.selection_counts is not None:
+        # a one-member Q picks its only basis everywhere: nothing to report
+        if len(self.surface.basis_names) > 1:
             totals = self.surface.selection_counts.sum(axis=0)
             frac = totals / max(int(totals.sum()), 1)
             diagnostics["selection_fractions"] = dict(

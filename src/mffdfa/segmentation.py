@@ -8,42 +8,27 @@ the series end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class SegmentLayout:
-    """Start offsets of the M_{s_k} windows of length s over N samples."""
-
-    s: int
-    k: int
-    starts: np.ndarray = field(repr=False)
-    count: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "count", int(self.starts.size))
-
-
-def layout(N: int, s: int, k: int) -> SegmentLayout:
-    """Window layout for series length N, scale s, overlap factor k.
+def layout(profile: np.ndarray, s: int, k: int) -> np.ndarray:
+    """The M_{s_k} windows of length s over the profile, as an (M, s) view.
 
     Stride is floor(s/k); windows run forward from offset 0 and any tail
-    shorter than one stride is discarded.  The segment count obeys
-    floor((N - s)/stride) + 1.
+    shorter than one stride is discarded, so M = floor((N - s)/stride) + 1.
+    The rows are a strided view: nothing of the profile is copied.
     """
-    if s < 1 or N < 1 or k < 1:
+    N = len(profile)
+    if s < 1 or k < 1:
         raise InputError("layout arguments must be positive")
     if s > N:
         raise InputError(f"scale s={s} exceeds series length N={N}")
     if k > s:
         raise InputError(f"overlap factor k={k} exceeds s={s}; lower k so the stride stays >= 1")
-    stride = s // k
-    starts = np.arange(0, N - s + 1, stride, dtype=np.intp)
-    return SegmentLayout(s=int(s), k=int(k), starts=starts)
+    return sliding_window_view(profile, s)[::s // k]
 
 
 def default_scale_grid(N: int, s_min: int = 30, s_max: int | None = None,
@@ -56,6 +41,8 @@ def default_scale_grid(N: int, s_min: int = 30, s_max: int | None = None,
     """
     if s_max is None:
         s_max = N // 10
+    if n_scales < 4:
+        raise InputError(f"n_scales={n_scales} below 4, the minimum for the scaling regression")
     if s_min < 4:
         raise InputError(f"s_min={s_min} too small; detrending needs more samples than parameters")
     if not (s_min < s_max <= N):

@@ -97,6 +97,37 @@ def test_missing_file_exits_two(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--n-scales", "0"], "n_scales=0"),
+    (["--n-scales", "-3"], "n_scales=-3"),
+    (["--fit-lo", "150", "--fit-hi", "40"], "inverted"),
+    (["--method", "mffdfa", "--m", "0"], "m=0"),
+    (["--method", "mfdfa", "--m", "11"], "m=11"),
+])
+def test_bad_analysis_setting_exits_two(tmp_path, capsys, flags, message):
+    src = tmp_path / "x.csv"
+    _write_series(src, np.random.default_rng(0).normal(size=1000))
+    assert main(["analyze", str(src), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "error: input:" in err and message in err
+
+
+@pytest.mark.parametrize("method, selects", [
+    ("mffdfa", True), ("mfdfa", False), ("mfdfa_overlap", False),
+])
+def test_selection_output_only_for_several_bases(tmp_path, capsys, method, selects):
+    src = tmp_path / "x.csv"
+    _write_series(src, generate_fgn(FbmSpec(hurst=0.5, length=1500, seed=2)))
+    flags = ["analyze", str(src), "--method", method, "--q-step", "2.0", "--n-scales", "10"]
+    assert main(flags) == 0
+    diag = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert ("selection_fractions" in diag) == selects
+    assert ("selection_counts" in diag) == selects
+    assert main([*flags, "--format", "csv"]) == 0
+    csv = capsys.readouterr().out
+    assert ("# selection_fractions" in csv) == selects
+
+
 def test_unknown_subcommand_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mffdfa import (
-    FixedPolynomial,
-    FlexibleBasis,
+    DetrendPolicy,
     InputError,
-    coefficient_of_determination,
     default_basis_set,
     default_scale_grid,
     fit_least_squares,
@@ -18,7 +16,6 @@ from mffdfa import (
     fluctuation_function,
     default_q_grid,
     polynomial_basis,
-    select_trend,
 )
 from mffdfa.detrend import RESIDUAL_GUARD, batch_segment_variances
 
@@ -73,7 +70,7 @@ def test_basis_without_constant_and_line_is_rejected():
     with pytest.raises(InputError, match="does not span the constant and t"):
         fit_least_squares(np.arange(30.0), no_line)
     with pytest.raises(InputError, match="does not span"):
-        batch_segment_variances(np.ones((4, 30)), FlexibleBasis(basis_set=(no_line,)))
+        batch_segment_variances(np.ones((4, 30)), DetrendPolicy((no_line,)))
     # a rank-deficient design whose span is exactly {1, t} is fine
     dup = BasisFunction("dup", (lambda t: t, lambda t: 2 * t, np.ones_like))
     fit = DesignFit(dup, 20)
@@ -85,37 +82,51 @@ def test_fit_rejects_short_segment():
         fit_least_squares(np.ones(2), default_basis_set()[0])
 
 
+def _select(segment):
+    """The batched selection over the default Q on a one-row batch:
+    (chosen index, that basis' fit)."""
+    _, (chosen,), _ = batch_segment_variances(np.asarray(segment)[None, :], DetrendPolicy())
+    return int(chosen), fit_least_squares(segment, default_basis_set()[chosen])
+
+
 def test_r2_perfect_fit_is_one(rng):
-    y = rng.standard_normal(30)
-    class Perfect:  # minimal stand-in carrying ss_res only
-        ss_res = 0.0
-    assert coefficient_of_determination(y, Perfect()) == 1.0
+    c0, c1, c2 = rng.standard_normal(3)
+    t = _t(30)
+    y = c2 * t * t + c1 * t + c0
+    fit = fit_least_squares(y, default_basis_set()[0])
+    assert fit.r_squared == 1.0
+    assert fit.r_squared == pytest.approx(oracles.r_squared_direct(y, fit.fitted), abs=1e-12)
 
 
 def test_r2_of_mean_prediction_is_zero(rng):
-    y = rng.standard_normal(25)
-    class MeanFit:
-        ss_res = float(np.sum((y - y.mean()) ** 2))
-    assert coefficient_of_determination(y, MeanFit()) == pytest.approx(0.0, abs=1e-12)
+    # scatter with nothing left in the quadratic's span but a level: the
+    # fit predicts the mean
+    basis = default_basis_set()[0]
+    z = rng.standard_normal(25)
+    y = z - fit_least_squares(z, basis).fitted + 1.5
+    fit = fit_least_squares(y, basis)
+    np.testing.assert_allclose(fit.fitted, y.mean(), rtol=1e-12)
+    assert fit.r_squared == pytest.approx(0.0, abs=1e-12)
+    assert fit.r_squared == pytest.approx(oracles.r_squared_direct(y, fit.fitted), abs=1e-12)
 
 
 def test_r2_matches_direct_formula(rng):
     y = rng.standard_normal(40)
     fit = fit_least_squares(y, default_basis_set()[0])
     expected = oracles.r_squared_direct(y, fit.fitted)
-    assert coefficient_of_determination(y, fit) == pytest.approx(expected, abs=1e-12)
+    assert fit.r_squared == pytest.approx(expected, abs=1e-12)
 
 
 def test_select_cubic_member_of_q():
     t = _t(80)
-    idx, fit = select_trend(5 * t ** 3 - t + 2, default_basis_set())
-    assert idx == 3
+    idx, fit = _select(5 * t ** 3 - t + 2)
+    assert idx == 2
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
 
 def test_select_tie_break_on_constant_segment():
-    idx, fit = select_trend(np.full(30, 2.25), default_basis_set())
-    assert idx == 1
+    idx, fit = _select(np.full(30, 2.25))
+    assert idx == 0
     assert fit.ss_res <= 1e-18
 
 
@@ -126,7 +137,7 @@ def test_selection_fractions_on_cascade_profile():
     prof = build_profile(generate_cascade(CascadeSpec(a=0.55, n_max=17)))
     scales = default_scale_grid(len(prof), 30, 1000)
     surface = fluctuation_function(
-        prof, scales, 2, FlexibleBasis(abscissa="normalized"), default_q_grid()
+        prof, scales, 2, DetrendPolicy(abscissa="normalized"), default_q_grid()
     )
     frac = surface.selection_counts.sum(axis=0) / surface.segment_counts.sum()
     np.testing.assert_allclose(frac, [0.25, 0.45, 0.30], atol=0.15)
@@ -192,8 +203,8 @@ def test_span_invariance(y, c2, c1, c0):
 @given(segments, st.floats(0.01, 1e3))
 @settings(max_examples=60)
 def test_selection_scale_invariance(y, c):
-    idx_a, fit_a = select_trend(y, default_basis_set())
-    idx_b, fit_b = select_trend(c * y, default_basis_set())
+    idx_a, fit_a = _select(y)
+    idx_b, fit_b = _select(c * y)
     assert idx_a == idx_b
     assert fit_a.r_squared == pytest.approx(fit_b.r_squared, abs=1e-10)
 
@@ -213,17 +224,16 @@ def segment_batches(draw):
 
 @given(segment_batches())
 @settings(max_examples=60)
-def test_select_trend_agrees_with_batched_selection(batch):
-    variances, chosen, _ = batch_segment_variances(batch, FlexibleBasis())
-    s = batch.shape[1]
+def test_row_alone_agrees_with_row_in_batch(batch):
+    variances, chosen, _ = batch_segment_variances(batch, DetrendPolicy())
     for row, var, best in zip(batch, variances, chosen):
-        idx, fit = select_trend(row, default_basis_set())
-        assert idx - 1 == best
+        alone, (idx,), _ = batch_segment_variances(row[None, :], DetrendPolicy())
+        assert idx == best
         # a variance at rounding level (constant rows) comes out of the
-        # one-column and the batched product rounded differently, by up to
+        # one-row and the many-row product rounded differently, by up to
         # about 1e-29 * peak^2
         rounding = 1e-27 * np.abs(row).max() ** 2
-        assert fit.ss_res / s == pytest.approx(var, rel=1e-12, abs=rounding)
+        assert alone[0] == pytest.approx(var, rel=1e-12, abs=rounding)
 
 
 def test_column_scaling_equivalence(rng):
@@ -238,15 +248,15 @@ def test_column_scaling_equivalence(rng):
     np.testing.assert_allclose(fit_a.fitted, fit_b.fitted, rtol=1e-9, atol=1e-9)
 
 
-def test_select_trend_rejects_empty_q():
-    with pytest.raises(InputError):
-        select_trend(np.ones(10), [])
+def test_empty_basis_set_is_rejected():
+    with pytest.raises(InputError, match="empty basis set"):
+        batch_segment_variances(np.ones((1, 10)), DetrendPolicy(()))
 
 
 def _single_basis_policies():
     """Every default basis on its own, and two fixed orders, as batch policies."""
-    return ([FlexibleBasis(basis_set=(b,)) for b in default_basis_set()]
-            + [FixedPolynomial(m) for m in (1, 3)])
+    bases = default_basis_set() + [polynomial_basis(m) for m in (1, 3)]
+    return [DetrendPolicy((b,)) for b in bases]
 
 
 def _batched_ss_res(segments, policy):
@@ -270,7 +280,7 @@ def test_ss_res_matches_extended_precision(fgn_bank):
             starts = rng.integers(0, profile.size - s + 1, 150)
             segs = profile[starts[:, None] + np.arange(s)]
             for policy in _single_basis_policies():
-                (basis,) = policy.bases()
+                (basis,) = policy.bases
                 ref = oracles.ss_res_extended(segs, basis.design(s)).astype(float)
                 np.testing.assert_allclose(_batched_ss_res(segs, policy), ref, rtol=1e-11,
                                            err_msg=f"{name} s={s} {basis.name}")
@@ -290,7 +300,7 @@ def test_near_exact_cubic_matches_extended_precision(rng):
     segs = a[:, None] * x ** 3 + lines + 1e-10 * rng.standard_normal((40, s))
     linear = oracles.ss_res_extended(segs, polynomial_basis(1).design(s)).astype(float)
     for policy in _single_basis_policies():
-        (basis,) = policy.bases()
+        (basis,) = policy.bases
         ref = oracles.ss_res_extended(segs, basis.design(s)).astype(float)
         if basis.name in ("cubic", "poly3"):
             assert np.all(ref < RESIDUAL_GUARD * linear)

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mffdfa import (
-    FixedPolynomial,
-    FlexibleBasis,
+    DetrendPolicy,
     InputError,
     NumericalError,
     build_profile,
@@ -21,6 +20,11 @@ from mffdfa.detrend import batch_segment_variances
 from mffdfa.segmentation import layout
 
 import oracles
+
+
+def _poly(m):
+    """MFDFA-m detrending: the one-member basis set {poly_m}."""
+    return DetrendPolicy((polynomial_basis(m),))
 
 
 def test_default_q_grid_has_exact_nodes():
@@ -37,8 +41,8 @@ def test_q_grid_rejects_bad_step():
 
 def _variances_vs_oracle(segments, m):
     """Batched F^2 per row, and the direct sum over one fit per row."""
-    variances, chosen, _ = batch_segment_variances(segments, FixedPolynomial(m))
-    assert chosen is None
+    variances, chosen, _ = batch_segment_variances(segments, _poly(m))
+    assert np.all(chosen == 0)
     direct = [oracles.segment_variance_direct(seg, fit_least_squares(
         seg, polynomial_basis(m)).fitted) for seg in segments]
     return variances, np.asarray(direct)
@@ -76,10 +80,11 @@ def test_constant_variance_surface_is_flat_in_q(monkeypatch):
     import mffdfa.fluctuation as fl
     v = 0.7303
     monkeypatch.setattr(fl, "batch_segment_variances",
-                        lambda segments, policy: (np.full(len(segments), v), None, (False,)))
+                        lambda segments, policy: (np.full(len(segments), v),
+                                                  np.zeros(len(segments), dtype=int), (False,)))
     prof = _white_profile()
     surface = fl.fluctuation_function(prof, default_scale_grid(4000), 2,
-                                      FixedPolynomial(m=2), default_q_grid())
+                                      _poly(2), default_q_grid())
     np.testing.assert_allclose(surface.values, np.sqrt(v), rtol=1e-12)
 
 
@@ -87,7 +92,7 @@ def test_q2_k1_equals_plain_dfa(rng):
     x = rng.standard_normal(3000)
     scales = default_scale_grid(3000, 16, 300, 12)
     surface = fluctuation_function(build_profile(x), scales, 1,
-                                   FixedPolynomial(m=2), np.array([2.0]))
+                                   _poly(2), np.array([2.0]))
     oracle = oracles.dfa_rms(x, scales, 2)
     np.testing.assert_allclose(surface.values[0], oracle, rtol=1e-12)
 
@@ -97,12 +102,12 @@ def test_k1_fixed_poly_matches_textbook_mfdfa(rng):
     scales = default_scale_grid(2000, 16, 200, 10)
     q = default_q_grid(-4, 4, 0.5)
     surface = fluctuation_function(build_profile(x), scales, 1,
-                                   FixedPolynomial(m=1), q)
+                                   _poly(1), q)
     oracle = oracles.textbook_mfdfa(x, scales, q, 1)
     np.testing.assert_allclose(surface.values, oracle, rtol=1e-10)
 
 
-@pytest.mark.parametrize("policy", [FixedPolynomial(m=2), FlexibleBasis()])
+@pytest.mark.parametrize("policy", [_poly(2), DetrendPolicy()])
 def test_power_mean_monotone_in_q(policy, rng):
     x = rng.standard_normal(4000)
     surface = fluctuation_function(build_profile(x), default_scale_grid(4000),
@@ -112,7 +117,7 @@ def test_power_mean_monotone_in_q(policy, rng):
     assert np.all(diffs >= -1e-12 * surface.values[:-1])
 
 
-@pytest.mark.parametrize("policy", [FixedPolynomial(m=3), FlexibleBasis()])
+@pytest.mark.parametrize("policy", [_poly(3), DetrendPolicy()])
 def test_homogeneity_under_input_scaling(policy, rng):
     x = rng.standard_normal(3000)
     scales = default_scale_grid(3000, 20, 300, 8)
@@ -126,7 +131,7 @@ def test_q_continuity_at_zero(rng):
     x = rng.standard_normal(5000)
     q = np.array([-0.01, 0.0, 0.01])
     surface = fluctuation_function(build_profile(x), default_scale_grid(5000),
-                                   2, FixedPolynomial(m=2), q)
+                                   2, _poly(2), q)
     lo, mid, hi = surface.values
     assert np.all(np.abs(lo / mid - 1.0) < 0.01)
     assert np.all(np.abs(hi / mid - 1.0) < 0.01)
@@ -142,7 +147,7 @@ def _zero_variance_profile():
 
 def test_zero_variance_segments_are_counted_and_excluded():
     surface = fluctuation_function(_zero_variance_profile(), np.array([30, 40, 50, 60]),
-                                   1, FixedPolynomial(m=2), default_q_grid(-2, 2, 1.0))
+                                   1, _poly(2), default_q_grid(-2, 2, 1.0))
     assert int(surface.excluded_counts.sum()) > 0
     assert np.all(surface.excluded_counts < surface.segment_counts)
     assert np.all(np.isfinite(surface.values))
@@ -151,9 +156,9 @@ def test_zero_variance_segments_are_counted_and_excluded():
 
 @pytest.mark.parametrize("profile, scales, k, policy, excludes", [
     # s < 404 splits the 100 nonzero q into several blocks
-    (_white_profile(10_000), default_scale_grid(10_000), 2, FlexibleBasis(), False),
+    (_white_profile(10_000), default_scale_grid(10_000), 2, DetrendPolicy(), False),
     # exclusions make M differ between q > 0 and q < 0
-    (_zero_variance_profile(), np.array([30, 40, 50, 60]), 1, FixedPolynomial(m=2), True),
+    (_zero_variance_profile(), np.array([30, 40, 50, 60]), 1, _poly(2), True),
 ])
 def test_aggregation_equals_per_q_loop(monkeypatch, profile, scales, k, policy, excludes):
     import mffdfa.fluctuation as fl
@@ -190,15 +195,15 @@ def test_logsumexp_matches_scipy_without_overflow(rng):
 def test_aggregation_memory_stays_within_the_segment_matrix(monkeypatch):
     import mffdfa.fluctuation as fl
     monkeypatch.setattr(fl, "batch_segment_variances",
-                        lambda segments, policy: (np.linspace(0.5, 2.0, len(segments)), None,
-                                                  (False,)))
+                        lambda segments, policy: (np.linspace(0.5, 2.0, len(segments)),
+                                                  np.zeros(len(segments), dtype=int), (False,)))
     n, k = 2 ** 16, 2
     profile = _white_profile(n)
     scales = default_scale_grid(n)
-    largest = max(8 * int(s) * layout(n, int(s), k).count for s in scales)
+    largest = max(8 * int(s) * len(layout(profile, int(s), k)) for s in scales)
     tracemalloc.start()
     try:
-        fl.fluctuation_function(profile, scales, k, FixedPolynomial(m=2), default_q_grid())
+        fl.fluctuation_function(profile, scales, k, _poly(2), default_q_grid())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -209,14 +214,14 @@ def test_all_zero_variance_raises_numerical_error():
     y = np.zeros(500)  # every segment excluded, no usable scale left
     with pytest.raises(NumericalError, match="usable"):
         fluctuation_function(y, np.array([20, 30, 40, 50]), 2,
-                             FixedPolynomial(m=2), default_q_grid(-2, 2, 1.0))
+                             _poly(2), default_q_grid(-2, 2, 1.0))
 
 
 def test_selection_counts_shape_and_total(rng):
     x = rng.standard_normal(2500)
     scales = default_scale_grid(2500, 20, 250, 6)
     surface = fluctuation_function(build_profile(x), scales, 2,
-                                   FlexibleBasis(), default_q_grid(-2, 2, 1.0))
+                                   DetrendPolicy(), default_q_grid(-2, 2, 1.0))
     assert surface.selection_counts.shape == (scales.size, 3)
     np.testing.assert_array_equal(surface.selection_counts.sum(axis=1),
                                   surface.segment_counts)
@@ -230,7 +235,7 @@ def test_surface_invariants_random_walks(seed, k):
     scales = default_scale_grid(1500, 16, 150, 8)
     q = default_q_grid(-5, 5, 1.0)
     surface = fluctuation_function(build_profile(x), scales, k,
-                                   FlexibleBasis(), q)
+                                   DetrendPolicy(), q)
     finite = surface.values[:, surface.usable]
     assert np.all(np.isfinite(finite)) and np.all(finite > 0)
     assert np.all(surface.segment_counts >= 1)

@@ -1,38 +1,42 @@
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given
 from hypothesis import strategies as st
 
 from mffdfa import InputError, default_scale_grid, layout
 
 
+def _starts(N, s, k):
+    """Window start offsets, read off the windows of the index series 0..N-1."""
+    return layout(np.arange(N, dtype=float), s, k)[:, 0].astype(int)
+
+
 def test_overlapping_example():
-    win = layout(300, 100, 2)
-    assert win.starts.tolist() == [0, 50, 100, 150, 200]
-    assert win.count == 5
+    starts = _starts(300, 100, 2)
+    assert starts.tolist() == [0, 50, 100, 150, 200]
+    assert starts.size == 5
 
 
 def test_classical_example():
-    win = layout(300, 100, 1)
-    assert win.starts.tolist() == [0, 100, 200]
-    assert win.count == 3
+    starts = _starts(300, 100, 1)
+    assert starts.tolist() == [0, 100, 200]
+    assert starts.size == 3
 
 
 def test_single_full_span_window():
-    win = layout(100, 100, 4)
-    assert win.starts.tolist() == [0]
-    assert win.count == 1
+    starts = _starts(100, 100, 4)
+    assert starts.tolist() == [0]
+    assert starts.size == 1
 
 
 def test_layout_rejects_scale_beyond_series():
     with pytest.raises(InputError):
-        layout(50, 100, 2)
+        layout(np.zeros(50), 100, 2)
 
 
 def test_layout_rejects_k_above_s():
     with pytest.raises(InputError, match="lower k"):
-        layout(500, 10, 11)
+        layout(np.zeros(500), 10, 11)
 
 
 layout_args = st.integers(1, 400).flatmap(
@@ -47,28 +51,28 @@ layout_args = st.integers(1, 400).flatmap(
 @given(layout_args)
 def test_layout_invariants(args):
     N, s, k = args
-    win = layout(N, s, k)
+    starts = _starts(N, s, k)
     stride = s // k
-    assert np.all(np.diff(win.starts) == stride)
-    assert win.starts[0] == 0
-    assert win.starts[-1] + s <= N
-    assert win.count == (N - s) // stride + 1
+    assert np.all(np.diff(starts) == stride)
+    assert starts[0] == 0
+    assert starts[-1] + s <= N
+    assert starts.size == (N - s) // stride + 1
 
 
 @given(layout_args)
 def test_increasing_k_never_reduces_coverage(args):
     N, s, k = args
     if k + 1 <= s:
-        assert layout(N, s, k + 1).count >= layout(N, s, k).count
+        assert _starts(N, s, k + 1).size >= _starts(N, s, k).size
 
 
 @given(st.integers(1, 200).flatmap(
     lambda N: st.tuples(st.just(N), st.integers(1, N))))
 def test_k1_reduces_to_classical_division(args):
     N, s = args
-    win = layout(N, s, 1)
-    assert win.count == N // s
-    assert win.starts.tolist() == [v * s for v in range(N // s)]
+    starts = _starts(N, s, 1)
+    assert starts.size == N // s
+    assert starts.tolist() == [v * s for v in range(N // s)]
 
 
 @pytest.mark.parametrize("N, s, k", [
@@ -77,12 +81,12 @@ def test_k1_reduces_to_classical_division(args):
 ])
 def test_strided_window_view_has_the_layout_starts(N, s, k):
     # fluctuation_function takes the segments of a scale as this view
-    y = np.arange(N, dtype=float)
-    segments = sliding_window_view(y, s)[::s // k]
-    win = layout(N, s, k)
-    assert segments.shape == (win.count, s)
-    np.testing.assert_array_equal(segments[:, 0], win.starts)
-    np.testing.assert_array_equal(segments, y[win.starts[:, None] + np.arange(s)])
+    y = np.random.default_rng(N).standard_normal(N)
+    segments = layout(y, s, k)
+    starts = np.arange(0, N - s + 1, s // k)
+    assert segments.shape == (starts.size, s)
+    assert np.shares_memory(segments, y)
+    np.testing.assert_array_equal(segments, y[starts[:, None] + np.arange(s)])
 
 
 def test_default_grid_standard_parameters():
@@ -102,9 +106,10 @@ def test_default_grid_rejects_empty_range():
 
 
 def test_default_grid_rejects_too_few_scales():
-    # 3 requested points can never satisfy the >= 4 scale minimum
-    with pytest.raises(InputError):
-        default_scale_grid(10_000, 30, 1000, 3)
+    # fewer than 4 requested points can never satisfy the >= 4 scale minimum
+    for n_scales in (3, 0, -3):
+        with pytest.raises(InputError):
+            default_scale_grid(10_000, 30, 1000, n_scales)
 
 
 def test_default_grid_rejects_tiny_s_min():

@@ -29,6 +29,9 @@ def _surface(scales, values, q):
         segment_counts=np.full(scales.size, 10),
         excluded_counts=np.zeros(scales.size, dtype=int),
         usable=np.ones(scales.size, dtype=bool),
+        selection_counts=np.full((scales.size, 1), 10),
+        basis_names=("poly2",),
+        rank_deficient=np.zeros((scales.size, 1), dtype=bool),
     )
 
 
