@@ -166,9 +166,35 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-_CONFIG_FIELDS = ("method", "m", "k", "q_min", "q_max", "q_step",
-                  "s_min", "s_max", "n_scales", "abscissa",
-                  "fit_lo", "fit_hi")
+#: the fields a config file may set, each with the JSON values it accepts
+_TEXT, _INTEGER, _NUMBER = ("a string", (str,)), ("an integer", (int,)), ("a number", (int, float))
+_CONFIG_FIELDS = {
+    "method": _TEXT, "m": _INTEGER, "k": _INTEGER,
+    "q_min": _NUMBER, "q_max": _NUMBER, "q_step": _NUMBER,
+    "s_min": _INTEGER, "s_max": _INTEGER, "n_scales": _INTEGER, "abscissa": _TEXT,
+    "fit_lo": _INTEGER, "fit_hi": _INTEGER,
+}
+#: the fields whose default is "unset", so a file may give them as null
+_NULLABLE = ("s_max", "fit_lo", "fit_hi")
+
+
+def _check_config_file(file_cfg, path: str) -> None:
+    """InputError unless file_cfg is a JSON object of known, well-typed fields."""
+    if not isinstance(file_cfg, dict):
+        raise InputError(f"config file {path} must hold a JSON object, "
+                         f"not {json.dumps(file_cfg)}")
+    unknown = set(file_cfg) - set(_CONFIG_FIELDS)
+    if unknown:
+        raise InputError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in file_cfg.items():
+        if value is None and key in _NULLABLE:
+            continue
+        kind, types = _CONFIG_FIELDS[key]
+        # JSON true/false load as bool, which Python counts as an int
+        if isinstance(value, bool) or not isinstance(value, types):
+            nullable = " or null" if key in _NULLABLE else ""
+            raise InputError(f"config key {key!r} must be {kind}{nullable}, "
+                             f"got {json.dumps(value)}")
 
 
 def _config_from_args(args) -> AnalysisConfig:
@@ -180,9 +206,7 @@ def _config_from_args(args) -> AnalysisConfig:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise InputError(f"cannot read config file {args.config}: {e}") from None
-        unknown = set(file_cfg) - set(_CONFIG_FIELDS)
-        if unknown:
-            raise InputError(f"unknown config keys: {sorted(unknown)}")
+        _check_config_file(file_cfg, args.config)
         merged.update(file_cfg)
     for name in _CONFIG_FIELDS:
         value = getattr(args, name, None)

@@ -13,17 +13,26 @@ candidate at once:
   column at s ~ 10^4 spans ~40 orders of magnitude -- and keeps W, an
   orthonormal basis of the part of the span orthogonal to {1, t}: one
   column per candidate of Q, m - 1 for a polynomial of order m.
-* Segments are centred first.  That is exact, since every span holds the
-  constant, and it takes a segment's level out of the rounding: errors then
-  scale with the centred segment, not with its offset.
-* One product C = [e_t, W_1, W_2, ...]^T Y_c serves all bases.  The linear
-  residual R = Y_c - e_t C_0 is formed once; ss_tot = |R|^2 + C_0^2, a sum
-  with no cancellation, and ss_res of basis b is |R|^2 - |C_b|^2.
+* Each segment is first shifted by its own middle sample, Z = Y - y_mid.
+  That is exact, since every span holds the constant, and a constant from
+  inside the segment's range takes its level out of the rounding: errors
+  then scale with the segment's spread, not with its offset.  Unlike the
+  mean, the middle sample needs no pass along the row.
+* One product C = [1/sqrt(s), e_t, W_1, W_2, ...]^T Z serves all bases.
+  C_1 carries the offset left in Z and C_e the line; one rank-2 update
+  removes both, R = Z - [1/sqrt(s), e_t] [C_1, C_e]^T.  ss_tot = |R|^2 +
+  C_e^2, a sum with no cancellation, and ss_res of basis b is |R|^2 -
+  |C_b|^2.
 * Guard: where ss_res_b < RESIDUAL_GUARD * |R|^2 that difference has lost
   digits, and those segments take the explicit residual R - W_b W_b^T R.
-* A batch goes through in blocks of about BLOCK_VALUES values, so the
-  centred block, R and its one temporary stay in cache and no array of the
-  batch's size is allocated; the segments can be a strided view.
+* Noise floor: |y_t| <= |y_mid| + |Z|, with |Z|^2 = ss_tot + C_1^2, bounds
+  a segment's floor from sums already at hand.  Only segments whose ss_tot
+  does not clear that bound -- the numerically constant ones -- take the
+  exact floor from their row's extremes, so R^2 is what the row rule gives.
+* A batch goes through in blocks of about BLOCK_VALUES values and at least
+  two rows, so Z, R's one temporary and the products stay in cache and no
+  array of the batch's size is allocated; the segments can be a strided
+  view.
 
 Fitted values are invariant to the column scaling, so results don't depend
 on that internal convention.
@@ -98,24 +107,29 @@ def _best_basis(r2: np.ndarray) -> np.ndarray:
 
 
 def _directions(s: int, ops: Sequence["DesignFit"]) -> np.ndarray:
-    """[e_t, W_1, W_2, ...]: the line, then every design's own directions, (s, 1 + sum w)."""
-    return np.column_stack([_linear_frame(s)[:, 1]] + [op.W for op in ops])
+    """[1/sqrt(s), e_t, W_1, W_2, ...]: the constant, the line, then every
+    design's own directions, (s, 2 + sum w)."""
+    return np.column_stack([_linear_frame(s)] + [op.W for op in ops])
 
 
 def _kernel(Y: np.ndarray, ops: Sequence["DesignFit"], B: np.ndarray):
     """The detrending kernel, for the rows of Y (shape (M, s)) and every design.
 
-    B is _directions(s, ops).  Returns (ss_res, ss_tot, floor, R):
-    residual sums of squares with shape (len(ops), M), total sums of squares
-    about the row means, the rows' noise floors, and the linear residuals
-    R (M, s).
+    B is _directions(s, ops).  Returns (ss_res, ss_tot, floor, R): residual
+    sums of squares with shape (len(ops), M), total sums of squares about
+    the row means, noise floors and the linear residuals R (M, s).  A floor
+    is the row's own (_noise_floor) where ss_tot does not clear it by a
+    margin, and elsewhere an upper bound on it, which puts the row in the
+    same branch of _r_squared.
     """
-    R = Y - Y.mean(axis=1, keepdims=True)
+    s = Y.shape[1]
+    mid = Y[:, s // 2]
+    R = Y - mid[:, None]            # Z, until the rank-2 update makes it R
     C = R @ B
-    R -= np.multiply.outer(C[:, 0], B[:, 0])
+    R -= C[:, :2] @ B[:, :2].T
     rr = np.einsum("ij,ij->i", R, R)
     ss_res = np.empty((len(ops), Y.shape[0]))
-    col = 1
+    col = 2
     for b, op in enumerate(ops):
         Cb = C[:, col:col + op.W.shape[1]]
         col += op.W.shape[1]
@@ -125,7 +139,14 @@ def _kernel(Y: np.ndarray, ops: Sequence["DesignFit"], B: np.ndarray):
             resid = R[low]
             resid -= (resid @ op.W) @ op.W.T
             ss_res[b, low] = np.einsum("ij,ij->i", resid, resid)
-    return ss_res, rr + C[:, 0] ** 2, _noise_floor(Y), R
+    ss_tot = rr + C[:, 1] ** 2
+    # |y_t| <= |y_mid| + |Z| with |Z|^2 = ss_tot + C_1^2; the factor 2 covers
+    # rounding, so rows whose ss_tot clears this bound clear their own floor
+    floor = 2 * s * (R2_ZERO_TOL * (np.abs(mid) + np.sqrt(ss_tot + C[:, 0] ** 2))) ** 2
+    near = np.flatnonzero(ss_tot <= floor)
+    if near.size:
+        floor[near] = _noise_floor(Y[near])
+    return ss_res, ss_tot, floor, R
 
 
 def _residual_sums(Y: np.ndarray, ops: Sequence["DesignFit"]):
@@ -133,7 +154,9 @@ def _residual_sums(Y: np.ndarray, ops: Sequence["DesignFit"]):
     M, s = Y.shape
     B = _directions(s, ops)
     ss_res, ss_tot, floor = np.empty((len(ops), M)), np.empty(M), np.empty(M)
-    rows = max(1, BLOCK_VALUES // s)
+    # two rows at least: a one-row block turns both products into
+    # matrix-vector passes over all of B
+    rows = max(2, BLOCK_VALUES // s)
     for i in range(0, M, rows):
         block = slice(i, i + rows)
         ss_res[:, block], ss_tot[block], floor[block], _ = _kernel(Y[block], ops, B)

@@ -42,11 +42,15 @@ def default_q_grid(q_min: float = -10.0, q_max: float = 10.0,
     """Uniform q grid, endpoints inclusive, with exact 0.0 when it lands there.
 
     The q = 0 node must compare equal to literal zero so the logarithmic
-    branch is taken, hence the snap.
+    branch is taken, hence the snap.  The step must divide q_max - q_min
+    (to 1e-9 relative): otherwise the last node would miss q_max.
     """
     if step <= 0 or q_max <= q_min:
         raise InputError("need q_min < q_max and step > 0")
-    n = int(round((q_max - q_min) / step)) + 1
+    steps = (q_max - q_min) / step
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise InputError(f"q step {step} does not divide q_max - q_min = {q_max - q_min}")
+    n = int(round(steps)) + 1
     q = np.round(q_min + step * np.arange(n), 12)
     q[np.abs(q) < 1e-12] = 0.0
     return q

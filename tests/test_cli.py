@@ -103,6 +103,7 @@ def test_missing_file_exits_two(tmp_path, capsys):
     (["--fit-lo", "150", "--fit-hi", "40"], "inverted"),
     (["--method", "mffdfa", "--m", "0"], "m=0"),
     (["--method", "mfdfa", "--m", "11"], "m=11"),
+    (["--q-step", "7"], "does not divide"),
 ])
 def test_bad_analysis_setting_exits_two(tmp_path, capsys, flags, message):
     src = tmp_path / "x.csv"
@@ -283,7 +284,7 @@ def test_config_file_applies_and_cli_overrides(tmp_path, capsys):
     src = tmp_path / "x.csv"
     _write_series(src, generate_fgn(FbmSpec(hurst=0.5, length=2000, seed=6)))
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"s_min": 20, "q_step": 2.0, "method": "mfdfa"}))
+    cfg.write_text(json.dumps({"s_min": 20, "q_step": 2.0, "method": "mfdfa", "fit_hi": None}))
 
     assert main(["analyze", str(src), "--config", str(cfg)]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -306,6 +307,26 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
         cfg.write_text(json.dumps(content))
         assert main(["analyze", str(src), "--config", str(cfg)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"m": "2"}', "'m' must be an integer"),
+    ('{"n_scales": 10.5}', "'n_scales' must be an integer"),
+    ('{"k": 1.5}', "'k' must be an integer"),
+    ('{"q_step": "0.5"}', "'q_step' must be a number"),
+    ('{"fit_lo": "40"}', "'fit_lo' must be an integer or null"),
+    ('{"m": true}', "'m' must be an integer"),
+    ("5", "must hold a JSON object"),
+    ("null", "must hold a JSON object"),
+])
+def test_config_file_bad_type_exits_two(tmp_path, capsys, content, message):
+    src = tmp_path / "x.csv"
+    _write_series(src, np.random.default_rng(0).normal(size=1000))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    assert main(["analyze", str(src), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "error: input:" in err and message in err
 
 
 def test_bad_method_rejected():

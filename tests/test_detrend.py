@@ -15,9 +15,19 @@ from mffdfa import (
     build_profile,
     fluctuation_function,
     default_q_grid,
+    layout,
     polynomial_basis,
 )
-from mffdfa.detrend import RESIDUAL_GUARD, batch_segment_variances
+from mffdfa.detrend import (
+    R2_ZERO_TOL,
+    RESIDUAL_GUARD,
+    DesignFit,
+    _best_basis,
+    _noise_floor,
+    _r_squared,
+    _residual_sums,
+    batch_segment_variances,
+)
 
 import oracles
 
@@ -141,6 +151,37 @@ def test_selection_fractions_on_cascade_profile():
     )
     frac = surface.selection_counts.sum(axis=0) / surface.segment_counts.sum()
     np.testing.assert_allclose(frac, [0.25, 0.45, 0.30], atol=0.15)
+
+
+@pytest.mark.parametrize("offset", [1.0, 1e8])
+def test_bounded_floor_selects_as_the_row_floor(offset):
+    """Rows whose scatter sits at 0.5-2 times their noise floor.
+
+    The kernel takes each row's floor from an upper bound unless ss_tot
+    fails to clear it; the exact row floor must still decide every row
+    near it.  The peak sits at the row's end, away from the middle sample
+    the bound is built on.
+    """
+    s, M = 122, 200
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((M, s))
+    g[:, -1] = 1.5 * np.abs(g).max(axis=1)
+    g -= g.mean(axis=1, keepdims=True)
+    ratio = rng.uniform(0.5, 2.0, M)
+    floor = s * (R2_ZERO_TOL * offset) ** 2
+    Y = offset + g * np.sqrt(ratio * floor / np.einsum("ij,ij->i", g, g))[:, None]
+    assert np.all(np.argmax(np.abs(Y), axis=1) == s - 1)
+
+    policy = DetrendPolicy()
+    ss_res, ss_tot, _ = _residual_sums(Y, [DesignFit(b, s) for b in policy.bases])
+    row_floor = _noise_floor(Y)
+    above = ss_tot > row_floor
+    assert 0.2 < above.mean() < 0.8
+    expected = _best_basis(_r_squared(ss_tot, row_floor, ss_res))
+    # rows above their floor pick by R^2, rows below tie and take basis 0
+    assert np.any(expected[above] != 0) and np.all(expected[~above] == 0)
+    _, chosen, _ = batch_segment_variances(Y, policy)
+    np.testing.assert_array_equal(chosen, expected)
 
 
 def test_default_basis_set_shape():
@@ -269,21 +310,35 @@ def test_ss_res_matches_extended_precision(fgn_bank):
 
     Profile segments carry a large offset and a large linear trend next to a
     small residual, which is where an uncentred projection loses digits.
+    Small scales take 150 copied windows at random starts; the two large
+    scales take 8 rows of ``layout``'s strided view, which the kernel reads
+    in blocks of two rows.
     """
-    profiles = {
-        "cascade": build_profile(generate_cascade(CascadeSpec(a=0.65, n_max=20))),
-        "fgn": build_profile(fgn_bank(0.5, 10_000, 0)),
-    }
+    cascade = build_profile(generate_cascade(CascadeSpec(a=0.65, n_max=20)))
+    # exact fGn at H = 0.5 is white Gaussian noise, which generate_fgn draws
+    # as its generator's standard normals; the long series skips its O(N^2)
+    # recursion
+    white = np.random.default_rng(0).standard_normal(200_000)
+    np.testing.assert_array_equal(white[:10_000], fgn_bank(0.5, 10_000, 0))
+    cases = []
     rng = np.random.default_rng(6)
-    for name, profile in profiles.items():
+    for name, profile in (("cascade", cascade), ("fgn", build_profile(white[:10_000]))):
         for s in (30, 122, 2042):
             starts = rng.integers(0, profile.size - s + 1, 150)
-            segs = profile[starts[:, None] + np.arange(s)]
-            for policy in _single_basis_policies():
-                (basis,) = policy.bases
-                ref = oracles.ss_res_extended(segs, basis.design(s)).astype(float)
-                np.testing.assert_allclose(_batched_ss_res(segs, policy), ref, rtol=1e-11,
-                                           err_msg=f"{name} s={s} {basis.name}")
+            cases.append((f"{name} s={s}", profile[starts[:, None] + np.arange(s)]))
+    for name, profile in (("cascade", cascade), ("fgn", build_profile(white))):
+        for s in (40_000, 2 ** 15 + 7):
+            windows = layout(profile, s, 2)
+            segs = windows[::windows.shape[0] // 8][:8]
+            assert segs.shape == (8, s) and np.shares_memory(segs, profile)
+            cases.append((f"{name} s={s} view", segs))
+    for label, segs in cases:
+        s = segs.shape[1]
+        for policy in _single_basis_policies():
+            (basis,) = policy.bases
+            ref = oracles.ss_res_extended(segs, basis.design(s)).astype(float)
+            np.testing.assert_allclose(_batched_ss_res(segs, policy), ref, rtol=1e-11,
+                                       err_msg=f"{label} {basis.name}")
 
 
 def test_near_exact_cubic_matches_extended_precision(rng):

@@ -39,6 +39,12 @@ def test_q_grid_rejects_bad_step():
         default_q_grid(0, 1, -0.1)
 
 
+@pytest.mark.parametrize("step", [0.3, 7.0])
+def test_q_grid_rejects_step_that_overshoots_q_max(step):
+    with pytest.raises(InputError, match="does not divide"):
+        default_q_grid(-10, 10, step)
+
+
 def _variances_vs_oracle(segments, m):
     """Batched F^2 per row, and the direct sum over one fit per row."""
     variances, chosen, _ = batch_segment_variances(segments, _poly(m))
