@@ -17,29 +17,19 @@ import argparse
 
 import numpy as np
 
-from mffdfa import (
-    CascadeSpec,
-    DetrendPolicy,
-    build_profile,
-    cascade_oracle,
-    default_q_grid,
-    fit_hurst,
-    fluctuation_function,
-    generate_cascade,
-    legendre_transform,
-)
+from mffdfa import AnalysisConfig, CascadeSpec, analyze_series, cascade_oracle, generate_cascade
 
 
 def run_one(a: float, n_max: int, s_lo: int, s_hi: int):
     x = generate_cascade(CascadeSpec(a=a, n_max=n_max))
-    profile = build_profile(x)
-    scales = 2 ** np.arange(s_lo, s_hi + 1)
-    q = default_q_grid()
-    surface = fluctuation_function(profile, scales, 1, DetrendPolicy(), q)
-    gh = fit_hurst(surface)
-    spec = legendre_transform(gh)
+    doc = analyze_series(x, AnalysisConfig(k=1, s_min=2 ** s_lo, s_max=2 ** s_hi,
+                                           n_scales=s_hi - s_lo + 1))
+    surface = doc.surface
+    # the dyadic grid is what keeps the log-periodic wobble out (see above)
+    if not np.array_equal(surface.scales, 2 ** np.arange(s_lo, s_hi + 1)):
+        raise RuntimeError(f"scale grid {surface.scales.tolist()} is not 2^{s_lo}..2^{s_hi}")
     fractions = surface.selection_counts.sum(axis=0) / surface.segment_counts.sum()
-    return q, gh, spec, dict(zip(surface.basis_names, fractions))
+    return doc.hurst.q_grid, doc.hurst, doc.spectrum, dict(zip(surface.basis_names, fractions))
 
 
 def main():

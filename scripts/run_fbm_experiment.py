@@ -16,28 +16,14 @@ import json
 
 import numpy as np
 
-from mffdfa import (
-    DetrendPolicy,
-    FbmSpec,
-    build_profile,
-    default_q_grid,
-    default_scale_grid,
-    fit_hurst,
-    fluctuation_function,
-    generate_fgn,
-    legendre_transform,
-)
+from mffdfa import AnalysisConfig, FbmSpec, analyze_series, generate_fgn
 
 
 def run_one(hurst: float, length: int, seed: int, k: int):
     x = generate_fgn(FbmSpec(hurst=hurst, length=length, seed=seed))
-    profile = build_profile(x)
-    scales = default_scale_grid(length)
-    surface = fluctuation_function(profile, scales, k, DetrendPolicy(), default_q_grid())
-    gh = fit_hurst(surface)
-    spec = legendre_transform(gh)
-    h2 = float(gh.h[np.argmin(np.abs(gh.q_grid - 2.0))])
-    return h2, float(spec.delta_alpha)
+    doc = analyze_series(x, AnalysisConfig(k=k))
+    h2 = float(doc.hurst.h[np.argmin(np.abs(doc.hurst.q_grid - 2.0))])
+    return h2, float(doc.spectrum.delta_alpha)
 
 
 def main():

@@ -12,7 +12,6 @@ from .detrend import (
     BasisFunction,
     DesignFit,
     DetrendPolicy,
-    FitResult,
     default_basis_set,
     fit_least_squares,
     polynomial_basis,
@@ -20,7 +19,6 @@ from .detrend import (
 from .errors import InputError, NumericalError
 from .fluctuation import FluctuationSurface, default_q_grid, fluctuation_function
 from .generators import (
-    CascadeOracle,
     CascadeSpec,
     FbmSpec,
     cascade_oracle,
@@ -30,22 +28,21 @@ from .generators import (
 )
 from .pipeline import AnalysisConfig, ResultDocument, analyze_series
 from .segmentation import default_scale_grid, layout
-from .signal import as_series, build_profile, log_returns
-from .spectrum import GeneralizedHurst, SingularitySpectrum, fit_hurst, legendre_transform
+from .signal import build_profile, log_returns
+from .spectrum import GeneralizedHurst, fit_hurst, legendre_transform
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisConfig", "ResultDocument", "analyze_series",
-    "BasisFunction", "DesignFit", "DetrendPolicy", "FitResult",
+    "BasisFunction", "DesignFit", "DetrendPolicy",
     "default_basis_set", "fit_least_squares", "polynomial_basis",
     "InputError", "NumericalError",
     "FluctuationSurface", "default_q_grid", "fluctuation_function",
-    "CascadeOracle", "CascadeSpec", "FbmSpec", "cascade_oracle",
+    "CascadeSpec", "FbmSpec", "cascade_oracle",
     "fgn_autocovariance", "generate_cascade", "generate_fgn",
-    "default_scale_grid", "layout",
-    "as_series", "build_profile", "log_returns",
-    "GeneralizedHurst", "SingularitySpectrum", "fit_hurst", "legendre_transform",
+    "default_scale_grid", "layout", "build_profile", "log_returns",
+    "GeneralizedHurst", "fit_hurst", "legendre_transform",
     "__version__",
 ]
 

@@ -7,14 +7,17 @@ Subcommands:
 * ``generate`` -- write synthetic fGn/fBm or binomial-cascade series;
 * ``sweep-m``  -- repeat the analysis over a range of detrending orders m
   for both the classical (k=1) and the overlapping variant, emitting an
-  H(m) / Delta_alpha(m) table;
+  H(m) / Delta_alpha(m) table (it sets method and m itself: no flag or
+  config-file key for them);
 * ``oracle``   -- tabulate the analytic cascade spectrum.
 
-Input files are plain CSV, one value per line, '#' comments allowed; an
-optional second column is ignored with a warning.  Output is JSON by
-default (top-level keys: config, hurst, spectrum, delta_alpha,
-diagnostics) or a flat CSV table with --format csv.  Exit codes: 0 on
-success, 2 for input errors, 3 for numerical failures.
+Analysis flags and a ``--config`` JSON file (flags win) set AnalysisConfig
+fields, and AnalysisConfig checks them.  Input files are plain CSV, one
+value per line, '#' comments allowed; an optional second column is
+ignored with a warning.  Output is JSON by default (top-level keys:
+config, hurst, spectrum, delta_alpha, diagnostics) or a flat CSV table
+with --format csv.  Exit codes: 0 on success, 2 for input errors, 3 for
+numerical failures.
 """
 
 from __future__ import annotations
@@ -26,11 +29,12 @@ import sys
 
 import numpy as np
 
+from .detrend import ABSCISSAS
 from .errors import InputError, NumericalError
 from .fluctuation import default_q_grid
 from .generators import CascadeSpec, FbmSpec, cascade_oracle, generate_cascade, generate_fgn
 # ResultDocument is unused here; it stays importable from mffdfa.cli with the rest
-from .pipeline import METHODS, AnalysisConfig, ResultDocument, analyze_series  # noqa: F401
+from .pipeline import M_MAX, METHODS, AnalysisConfig, ResultDocument, analyze_series  # noqa: F401
 from .signal import log_returns
 
 
@@ -74,11 +78,11 @@ def drop_overnight_returns(returns: np.ndarray, session_length: int) -> np.ndarr
 
 def _load_preprocessed(args) -> np.ndarray:
     x = read_series(args.input)
-    if getattr(args, "drop_overnight", False) and not args.log_returns:
+    if args.drop_overnight and not args.log_returns:
         raise InputError("--drop-overnight only makes sense with --log-returns")
-    if getattr(args, "log_returns", False):
+    if args.log_returns:
         x = log_returns(x)
-        if getattr(args, "drop_overnight", False):
+        if args.drop_overnight:
             if args.session_length is None:
                 raise InputError("--drop-overnight requires --session-length")
             x = drop_overnight_returns(x, args.session_length)
@@ -122,8 +126,8 @@ def cmd_generate(args) -> int:
 def cmd_sweep_m(args) -> int:
     x = _load_preprocessed(args)
     base = _config_from_args(args)
-    if not (1 <= args.m_min <= args.m_max <= 10):
-        raise InputError(f"m sweep range [{args.m_min}, {args.m_max}] outside [1, 10]")
+    if not (1 <= args.m_min <= args.m_max <= M_MAX):
+        raise InputError(f"m sweep range [{args.m_min}, {args.m_max}] outside [1, {M_MAX}]")
     rows = []
     for m in range(args.m_min, args.m_max + 1):
         for method in ("mfdfa", "mfdfa_overlap"):
@@ -166,49 +170,28 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-#: the fields a config file may set, each with the JSON values it accepts
-_TEXT, _INTEGER, _NUMBER = ("a string", (str,)), ("an integer", (int,)), ("a number", (int, float))
-_CONFIG_FIELDS = {
-    "method": _TEXT, "m": _INTEGER, "k": _INTEGER,
-    "q_min": _NUMBER, "q_max": _NUMBER, "q_step": _NUMBER,
-    "s_min": _INTEGER, "s_max": _INTEGER, "n_scales": _INTEGER, "abscissa": _TEXT,
-    "fit_lo": _INTEGER, "fit_hi": _INTEGER,
-}
-#: the fields whose default is "unset", so a file may give them as null
-_NULLABLE = ("s_max", "fit_lo", "fit_hi")
-
-
-def _check_config_file(file_cfg, path: str) -> None:
-    """InputError unless file_cfg is a JSON object of known, well-typed fields."""
-    if not isinstance(file_cfg, dict):
-        raise InputError(f"config file {path} must hold a JSON object, "
-                         f"not {json.dumps(file_cfg)}")
-    unknown = set(file_cfg) - set(_CONFIG_FIELDS)
-    if unknown:
-        raise InputError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in file_cfg.items():
-        if value is None and key in _NULLABLE:
-            continue
-        kind, types = _CONFIG_FIELDS[key]
-        # JSON true/false load as bool, which Python counts as an int
-        if isinstance(value, bool) or not isinstance(value, types):
-            nullable = " or null" if key in _NULLABLE else ""
-            raise InputError(f"config key {key!r} must be {kind}{nullable}, "
-                             f"got {json.dumps(value)}")
-
-
 def _config_from_args(args) -> AnalysisConfig:
-    """CLI flags > config file > dataclass defaults."""
+    """CLI flags > config file > dataclass defaults; AnalysisConfig checks the values."""
+    names = [f.name for f in dataclasses.fields(AnalysisConfig)]
     merged = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise InputError(f"cannot read config file {args.config}: {e}") from None
-        _check_config_file(file_cfg, args.config)
+        if not isinstance(file_cfg, dict):
+            raise InputError(f"config file {args.config} must hold a JSON object, "
+                             f"not {json.dumps(file_cfg)}")
+        unknown = set(file_cfg) - set(names)
+        if unknown:
+            raise InputError(f"unknown config keys: {sorted(unknown)}")
+        # a field the command has no flag for (sweep-m: method, m) is its own
+        fixed = sorted(key for key in file_cfg if not hasattr(args, key))
+        if fixed:
+            raise InputError(f"{args.command} sets {fixed} itself, not config file {args.config}")
         merged.update(file_cfg)
-    for name in _CONFIG_FIELDS:
+    for name in names:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
@@ -219,8 +202,6 @@ def _add_analysis_flags(p: argparse.ArgumentParser):
     # default=None everywhere so the config-file / dataclass defaults can
     # tell whether a flag was actually given
     p.add_argument("--config", help="JSON file with AnalysisConfig fields")
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--m", type=int, help="fixed detrending order (mfdfa/mfdfa_overlap)")
     p.add_argument("--k", type=int, help="overlap factor (stride = floor(s/k))")
     p.add_argument("--q-min", dest="q_min", type=float)
     p.add_argument("--q-max", dest="q_max", type=float)
@@ -228,7 +209,7 @@ def _add_analysis_flags(p: argparse.ArgumentParser):
     p.add_argument("--s-min", dest="s_min", type=int)
     p.add_argument("--s-max", dest="s_max", type=int)
     p.add_argument("--n-scales", dest="n_scales", type=int)
-    p.add_argument("--abscissa", choices=("raw", "normalized"))
+    p.add_argument("--abscissa", choices=ABSCISSAS)
     p.add_argument("--fit-lo", dest="fit_lo", type=int,
                    help="lower scale bound for the h(q) regression")
     p.add_argument("--fit-hi", dest="fit_hi", type=int,
@@ -251,6 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="analyze one series file")
     p.add_argument("input")
+    p.add_argument("--method", choices=METHODS)
+    p.add_argument("--m", type=int, help="fixed detrending order (mfdfa/mfdfa_overlap)")
     _add_analysis_flags(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -267,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-m", help="H(m) and width tables over detrending orders")
     p.add_argument("input")
     p.add_argument("--m-min", dest="m_min", type=int, default=1)
-    p.add_argument("--m-max", dest="m_max", type=int, default=10)
+    p.add_argument("--m-max", dest="m_max", type=int, default=M_MAX)
     _add_analysis_flags(p)
     p.set_defaults(func=cmd_sweep_m)
 

@@ -68,6 +68,9 @@ BLOCK_VALUES = 2 ** 15
 #: span does not contain it; built-in bases sit near 1e-14
 SPAN_TOL = 1e-6
 
+#: the within-segment abscissa conventions: t = 1..s, or t/s
+ABSCISSAS = ("raw", "normalized")
+
 
 def _linear_frame(s: int) -> np.ndarray:
     """Orthonormal basis (s, 2) of {1, t}: the constant, then the centred line e_t."""
@@ -188,11 +191,11 @@ class BasisFunction:
         non-polynomial regressors such as sin(x^2) -- polynomial spans are
         unchanged by the rescaling.
         """
+        if abscissa not in ABSCISSAS:
+            raise InputError(f"abscissa must be one of {ABSCISSAS}, got {abscissa!r}")
         t = np.arange(1, s + 1, dtype=float)
         if abscissa == "normalized":
             t = t / s
-        elif abscissa != "raw":
-            raise InputError(f"unknown abscissa convention {abscissa!r}")
         return np.column_stack([phi(t) for phi in self.regressors])
 
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detrend import DetrendPolicy, polynomial_basis
+from .detrend import ABSCISSAS, DetrendPolicy, polynomial_basis
 from .errors import InputError, NumericalError
 from .fluctuation import FluctuationSurface, default_q_grid, fluctuation_function
 from .segmentation import default_scale_grid
@@ -23,10 +24,19 @@ from .spectrum import GeneralizedHurst, SingularitySpectrum, fit_hurst, legendre
 
 METHODS = ("mfdfa", "mfdfa_overlap", "mffdfa")
 
+#: the largest fixed detrending order, for one analysis and for an m sweep
+M_MAX = 10
+
+#: per annotation: how an error names it, the values it accepts (NumPy scalars
+#: among them; bool, an int to Python, is refused apart) and the type stored
+_FIELD_TYPES = {"str": ("a string", str, str), "int": ("an integer", numbers.Integral, int),
+                "float": ("a number", numbers.Real, float)}
+
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Fully specified analysis request; every field has a usable default."""
+    """Fully specified analysis request: every field has a usable default, and
+    a value must match its annotation (only ``int | None`` fields take None)."""
 
     method: str = "mffdfa"
     m: int = 2
@@ -42,12 +52,22 @@ class AnalysisConfig:
     fit_hi: int | None = None
 
     def __post_init__(self):
+        # the annotations are strings here (postponed evaluation, see the imports)
+        for f in dataclasses.fields(self):
+            value, nullable = getattr(self, f.name), f.type.endswith(" | None")
+            if value is None and nullable:
+                continue
+            noun, accepted, plain = _FIELD_TYPES[f.type.removesuffix(" | None")]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise InputError(f"setting {f.name!r} must be {noun}"
+                                 f"{' or null' if nullable else ''}, got {value!r}")
+            object.__setattr__(self, f.name, plain(value))
         if self.method not in METHODS:
             raise InputError(f"unknown method {self.method!r}; pick one of {METHODS}")
-        if self.abscissa not in ("raw", "normalized"):
-            raise InputError(f"abscissa must be 'raw' or 'normalized', got {self.abscissa!r}")
-        if not 1 <= self.m <= 10:
-            raise InputError(f"detrending order m={self.m} outside the sweep range [1, 10]")
+        if self.abscissa not in ABSCISSAS:
+            raise InputError(f"abscissa must be one of {ABSCISSAS}, got {self.abscissa!r}")
+        if not 1 <= self.m <= M_MAX:
+            raise InputError(f"detrending order m={self.m} outside the sweep range [1, {M_MAX}]")
         if self.fit_lo is not None and self.fit_hi is not None and self.fit_lo > self.fit_hi:
             raise InputError(f"fit window [{self.fit_lo}, {self.fit_hi}] is inverted; "
                              "need fit_lo <= fit_hi")
@@ -67,8 +87,6 @@ class AnalysisConfig:
                     k=self.effective_k(), N=N)
 
     def fit_range(self):
-        if self.fit_lo is None and self.fit_hi is None:
-            return None
         return (self.fit_lo if self.fit_lo is not None else 0,
                 self.fit_hi if self.fit_hi is not None else np.inf)
 
@@ -97,9 +115,7 @@ class ResultDocument:
         if len(self.surface.basis_names) > 1:
             totals = self.surface.selection_counts.sum(axis=0)
             frac = totals / max(int(totals.sum()), 1)
-            diagnostics["selection_fractions"] = dict(
-                zip(self.surface.basis_names, frac.tolist())
-            )
+            diagnostics["selection_fractions"] = dict(zip(self.surface.basis_names, frac.tolist()))
             diagnostics["selection_counts"] = {
                 name: col.tolist()
                 for name, col in zip(self.surface.basis_names, self.surface.selection_counts.T)

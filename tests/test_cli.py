@@ -334,6 +334,27 @@ def test_bad_method_rejected():
         AnalysisConfig(method="wavelet-leader")
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"k": 1.5}, "'k' must be an integer"),
+    ({"q_step": "0.2"}, "'q_step' must be a number"),
+    ({"m": True}, "'m' must be an integer"),
+    ({"s_min": 30.7}, "'s_min' must be an integer"),
+    ({"n_scales": 10.5}, "'n_scales' must be an integer"),
+    ({"fit_lo": "40"}, "'fit_lo' must be an integer or null"),
+])
+def test_config_rejects_wrong_type_in_python(setting, message):
+    with pytest.raises(InputError, match=message):
+        AnalysisConfig(**setting)
+
+
+def test_config_stores_numpy_scalars_as_python_numbers():
+    cfg = AnalysisConfig(s_min=np.int64(30), q_step=np.float32(0.5))
+    assert type(cfg.s_min) is int and type(cfg.q_step) is float
+    x = generate_fgn(FbmSpec(hurst=0.5, length=2000, seed=4))
+    config = json.loads(analyze_series(x, cfg).to_json())["config"]
+    assert (config["s_min"], config["q_step"]) == (30, 0.5)
+
+
 # ----------------------------------------------------------------- sweep-m
 
 
@@ -363,6 +384,26 @@ def test_sweep_json_config_reports_the_swept_range(tmp_path, capsys):
     assert (config["m_min"], config["m_max"], config["N"]) == (1, 1, 2000)
     assert [(r["m"], r["method"], r["k"]) for r in doc["sweep"]] == [
         (1, "mfdfa", 1), (1, "mfdfa_overlap", 2)]
+
+
+@pytest.mark.parametrize("flags", [["--method", "mffdfa"], ["--m", "7"]])
+def test_sweep_takes_no_method_or_m_flag(tmp_path, flags):
+    src = tmp_path / "x.csv"
+    _write_series(src, np.random.default_rng(0).normal(size=800))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-m", str(src), *flags])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("content", [{"method": "mffdfa"}, {"m": 3}])
+def test_sweep_config_file_may_not_set_method_or_m(tmp_path, capsys, content):
+    src = tmp_path / "x.csv"
+    _write_series(src, np.random.default_rng(0).normal(size=800))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(content))
+    assert main(["sweep-m", str(src), "--m-max", "1", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "error: input:" in err and "sweep-m sets" in err
 
 
 def test_sweep_range_validated(tmp_path, capsys):
