@@ -10,7 +10,6 @@ coefficient of determination instead of being one fixed polynomial.
 
 from .detrend import (
     BasisFunction,
-    DesignFit,
     DetrendPolicy,
     default_basis_set,
     fit_least_squares,
@@ -35,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisConfig", "ResultDocument", "analyze_series",
-    "BasisFunction", "DesignFit", "DetrendPolicy",
+    "BasisFunction", "DetrendPolicy",
     "default_basis_set", "fit_least_squares", "polynomial_basis",
     "InputError", "NumericalError",
     "FluctuationSurface", "default_q_grid", "fluctuation_function",

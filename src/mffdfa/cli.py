@@ -29,12 +29,12 @@ import sys
 
 import numpy as np
 
-from .detrend import ABSCISSAS
+from .detrend import ABSCISSAS, M_MAX
 from .errors import InputError, NumericalError
 from .fluctuation import default_q_grid
 from .generators import CascadeSpec, FbmSpec, cascade_oracle, generate_cascade, generate_fgn
 # ResultDocument is unused here; it stays importable from mffdfa.cli with the rest
-from .pipeline import M_MAX, METHODS, AnalysisConfig, ResultDocument, analyze_series  # noqa: F401
+from .pipeline import METHODS, AnalysisConfig, ResultDocument, analyze_series  # noqa: F401
 from .signal import log_returns
 
 
@@ -256,9 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="tabulate the analytic cascade spectrum")
     p.add_argument("--a", type=float, required=True)
-    p.add_argument("--q-min", dest="q_min", type=float, default=-10.0)
-    p.add_argument("--q-max", dest="q_max", type=float, default=10.0)
-    p.add_argument("--q-step", dest="q_step", type=float, default=0.2)
+    p.add_argument("--q-min", dest="q_min", type=float, default=AnalysisConfig.q_min)
+    p.add_argument("--q-max", dest="q_max", type=float, default=AnalysisConfig.q_max)
+    p.add_argument("--q-step", dest="q_step", type=float, default=AnalysisConfig.q_step)
     p.add_argument("-o", "--output", help="output path (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_oracle)

@@ -4,9 +4,9 @@ One detrending policy: every candidate of a small basis set Q is fitted to
 each segment and the winner is picked by coefficient of determination.
 Classical MFDFA-m is the one-member set Q = {polynomial of order m}.
 
-Every candidate model is linear in its parameters and its span holds the
-constant and the line t, so one least-squares kernel serves every
-candidate at once:
+Every candidate model is linear in its parameters: its lead terms phi_j
+plus the line b t + c, which ``BasisFunction`` adds to every design itself.
+So one least-squares kernel serves every candidate at once:
 
 * ``DesignFit`` takes the SVD of a basis' column-scaled design once per
   (basis, s, abscissa) -- never raw normal equations, since a raw t^10
@@ -14,7 +14,7 @@ candidate at once:
   orthonormal basis of the part of the span orthogonal to {1, t}: one
   column per candidate of Q, m - 1 for a polynomial of order m.
 * Each segment is first shifted by its own middle sample, Z = Y - y_mid.
-  That is exact, since every span holds the constant, and a constant from
+  That is exact, since every design holds the constant, and a constant from
   inside the segment's range takes its level out of the rounding: errors
   then scale with the segment's spread, not with its offset.  Unlike the
   mean, the middle sample needs no pass along the row.
@@ -64,12 +64,11 @@ RESIDUAL_GUARD = 1e-3
 #: of the batch's size is allocated
 BLOCK_VALUES = 2 ** 15
 
-#: a unit vector of {1, t} left this far outside a design's span means the
-#: span does not contain it; built-in bases sit near 1e-14
-SPAN_TOL = 1e-6
-
 #: the within-segment abscissa conventions: t = 1..s, or t/s
 ABSCISSAS = ("raw", "normalized")
+
+#: the largest fixed detrending order, for one analysis and for an m sweep
+M_MAX = 10
 
 
 def _linear_frame(s: int) -> np.ndarray:
@@ -168,12 +167,11 @@ def _residual_sums(Y: np.ndarray, ops: Sequence["DesignFit"]):
 
 @dataclass(frozen=True)
 class BasisFunction:
-    """A trend model linear in its parameters: trend(t) = sum_j c_j phi_j(t).
+    """A trend model linear in its parameters: trend(t) = sum_j a_j phi_j(t) + b t + c.
 
-    The span must contain the constant and the line t (every built-in basis
-    lists both as regressors): the detrending kernel centres each segment
-    and removes its line before it looks at the rest of the span.
-    ``DesignFit`` rejects any other basis with an InputError.
+    ``regressors`` lists only the lead terms phi_j; the line b t + c is part
+    of every model, since the detrending kernel centres each segment and
+    removes its line before it looks at the rest of the span.
     """
 
     name: str
@@ -181,10 +179,10 @@ class BasisFunction:
 
     @property
     def parameter_count(self) -> int:
-        return len(self.regressors)
+        return len(self.regressors) + 2
 
     def design(self, s: int, abscissa: str = "raw") -> np.ndarray:
-        """Design matrix (s rows, one column per regressor).
+        """Design matrix (s, parameter_count): columns phi_1 ... phi_p, t, 1.
 
         The abscissa is the within-segment index t = 1..s; "normalized"
         rescales it to t/s in (0, 1].  The distinction only matters for
@@ -196,28 +194,23 @@ class BasisFunction:
         t = np.arange(1, s + 1, dtype=float)
         if abscissa == "normalized":
             t = t / s
-        return np.column_stack([phi(t) for phi in self.regressors])
+        return np.column_stack([phi(t) for phi in self.regressors] + [t, np.ones(s)])
 
 
 def default_basis_set() -> list[BasisFunction]:
     """The flexible basis set Q = {ax^2+bx+c, a sin(x^2)+bx+c, ax^3+bx+c}."""
-    one = np.ones_like
     return [
-        BasisFunction("quadratic", (lambda t: t * t, lambda t: t, one)),
-        BasisFunction("sine", (lambda t: np.sin(t * t), lambda t: t, one)),
-        BasisFunction("cubic", (lambda t: t ** 3, lambda t: t, one)),
+        BasisFunction("quadratic", (lambda t: t * t,)),
+        BasisFunction("sine", (lambda t: np.sin(t * t),)),
+        BasisFunction("cubic", (lambda t: t ** 3,)),
     ]
 
 
 def polynomial_basis(m: int) -> BasisFunction:
-    """Full polynomial of order m: regressors (t^m, ..., t, 1)."""
-    if not 1 <= m <= 20:
-        raise InputError(f"polynomial order m={m} outside [1, 20]")
-    regs = tuple(
-        [(lambda t, j=j: t ** j) for j in range(m, 1, -1)]
-        + [lambda t: t, np.ones_like]
-    )
-    return BasisFunction(f"poly{m}", regs)
+    """Full polynomial of order m: lead terms t^m, ..., t^2 (none for m = 1)."""
+    if not 1 <= m <= M_MAX:
+        raise InputError(f"polynomial order m={m} outside [1, {M_MAX}]")
+    return BasisFunction(f"poly{m}", tuple((lambda t, j=j: t ** j) for j in range(m, 1, -1)))
 
 
 @dataclass(frozen=True)
@@ -233,9 +226,10 @@ class DesignFit:
 
     Shares a single SVD across all segments of a scale.  Rank decisions use
     the usual max(shape) * eps * sigma_max cutoff; rank-deficient designs
-    keep the span of their numerical range and are flagged.  W holds an
-    orthonormal basis (s, rank - 2) of the part of the span orthogonal to
-    the constant and the line t.
+    keep the span of their numerical range and are flagged; so is a basis
+    whose lead terms repeat t or 1.  W holds an orthonormal basis
+    (s, rank - 2) of the part of the span orthogonal to the constant and
+    the line t.
     """
 
     def __init__(self, basis: BasisFunction, s: int, abscissa: str = "raw"):
@@ -251,21 +245,9 @@ class DesignFit:
         rcond = max(A.shape) * np.finfo(float).eps
         rank = int(np.count_nonzero(sv > rcond * sv[0]))
         U = U[:, :rank]
-        not_spanned = InputError(
-            f"basis {basis.name!r} does not span the constant and t; "
-            "every segment is centred and its line removed, so both must be in the span"
-        )
-        if rank < 2:
-            raise not_spanned
-        # G's singular values are the cosines of the angles between {1, t}
-        # and the span: 1 - cos^2 is the squared distance from the span of
-        # the unit vector of {1, t} that lies farthest from it
-        G = U.T @ _linear_frame(s)
-        V, cos, _ = np.linalg.svd(G)
-        if 1.0 - cos[-1] ** 2 > SPAN_TOL ** 2:
-            raise not_spanned
-        self.basis = basis
-        # the directions of span(U) orthogonal to G, i.e. to {1, t}
+        # t and 1 are columns of A, so span(U) holds them: past the first two,
+        # the left singular vectors of U^T [1, t] point away from both
+        V, _, _ = np.linalg.svd(U.T @ _linear_frame(s))
         self.W = U @ V[:, 2:]
         self.rank_deficient = rank < basis.parameter_count
 

@@ -22,6 +22,7 @@ F_0, so power-mean monotonicity in q is only guaranteed exclusion-free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,9 @@ def default_q_grid(q_min: float = -10.0, q_max: float = 10.0,
     branch is taken, hence the snap.  The step must divide q_max - q_min
     (to 1e-9 relative): otherwise the last node would miss q_max.
     """
-    if step <= 0 or q_max <= q_min:
-        raise InputError("need q_min < q_max and step > 0")
+    if not (0 < step < math.inf and -math.inf < q_min < q_max < math.inf):
+        raise InputError(f"need finite q_min < q_max and a finite step > 0, "
+                         f"got q_min={q_min} q_max={q_max} step={step}")
     steps = (q_max - q_min) / step
     if abs(steps - round(steps)) > 1e-9 * steps:
         raise InputError(f"q step {step} does not divide q_max - q_min = {q_max - q_min}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detrend import ABSCISSAS, DetrendPolicy, polynomial_basis
+from .detrend import ABSCISSAS, M_MAX, DetrendPolicy, polynomial_basis
 from .errors import InputError, NumericalError
 from .fluctuation import FluctuationSurface, default_q_grid, fluctuation_function
 from .segmentation import default_scale_grid
@@ -23,9 +23,6 @@ from .signal import as_series, build_profile
 from .spectrum import GeneralizedHurst, SingularitySpectrum, fit_hurst, legendre_transform
 
 METHODS = ("mfdfa", "mfdfa_overlap", "mffdfa")
-
-#: the largest fixed detrending order, for one analysis and for an m sweep
-M_MAX = 10
 
 #: per annotation: how an error names it, the values it accepts (NumPy scalars
 #: among them; bool, an int to Python, is refused apart) and the type stored
@@ -165,9 +162,14 @@ def analyze_series(x, config: AnalysisConfig) -> ResultDocument:
         raise NumericalError("degenerate series: zero variance")
     profile = build_profile(x)
     scales = default_scale_grid(x.size, config.s_min, config.s_max, config.n_scales)
+    lo, hi = config.fit_range()
+    in_window = int(np.count_nonzero((scales >= lo) & (scales <= hi)))
+    if in_window < 4:
+        raise InputError(f"fit window [{lo}, {hi}] holds {in_window} of the {scales.size} "
+                         "grid scales; the h(q) regression needs at least 4")
     q = default_q_grid(config.q_min, config.q_max, config.q_step)
     surface = fluctuation_function(profile, scales, config.effective_k(), config.policy(), q)
-    hurst = fit_hurst(surface, s_range=config.fit_range())
+    hurst = fit_hurst(surface, s_range=(lo, hi))
     spec = legendre_transform(hurst)
     return ResultDocument(config=config.resolved(x.size, scales), hurst=hurst,
                           spectrum=spec, surface=surface)

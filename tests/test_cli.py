@@ -104,6 +104,10 @@ def test_missing_file_exits_two(tmp_path, capsys):
     (["--method", "mffdfa", "--m", "0"], "m=0"),
     (["--method", "mfdfa", "--m", "11"], "m=11"),
     (["--q-step", "7"], "does not divide"),
+    (["--q-step", "nan"], "step=nan"),
+    (["--q-min", "nan"], "q_min=nan"),
+    (["--q-max", "inf"], "q_max=inf"),
+    (["--fit-lo", "60", "--fit-hi", "62"], "fit window [60, 62] holds 1 of the"),
 ])
 def test_bad_analysis_setting_exits_two(tmp_path, capsys, flags, message):
     src = tmp_path / "x.csv"
@@ -430,6 +434,11 @@ def test_oracle_table_values(capsys):
     assert table["h"][i0] == table["alpha"][i0]
 
 
+def test_oracle_non_finite_q_step_exits_two(capsys):
+    assert main(["oracle", "--a", "0.65", "--q-step", "nan"]) == 2
+    assert "step=nan" in capsys.readouterr().err
+
+
 def test_oracle_width_grows_with_a(capsys):
     widths = {}
     for a in ("0.55", "0.8"):
@@ -440,6 +449,18 @@ def test_oracle_width_grows_with_a(capsys):
 
 
 # ------------------------------------------------------------- library API
+
+
+def test_grid_defaults_are_the_config_defaults():
+    """The defaults of default_q_grid, default_scale_grid and oracle's q flags
+    build the grids that analyze_series runs under AnalysisConfig()."""
+    x = generate_fgn(FbmSpec(hurst=0.5, length=2000, seed=4))
+    doc = analyze_series(x, AnalysisConfig())
+    np.testing.assert_array_equal(doc.hurst.q_grid, mffdfa.default_q_grid())
+    np.testing.assert_array_equal(doc.surface.scales, mffdfa.default_scale_grid(x.size))
+    args = mffdfa.cli.build_parser().parse_args(["oracle", "--a", "0.65"])
+    assert (args.q_min, args.q_max, args.q_step) == (-10.0, 10.0, 0.2) == (
+        AnalysisConfig().q_min, AnalysisConfig().q_max, AnalysisConfig().q_step)
 
 
 def test_analyze_series_rejects_degenerate_input():

@@ -19,6 +19,7 @@ from mffdfa import (
     polynomial_basis,
 )
 from mffdfa.detrend import (
+    M_MAX,
     R2_ZERO_TOL,
     RESIDUAL_GUARD,
     DesignFit,
@@ -67,24 +68,27 @@ def test_cubic_matches_normal_equations_oracle(rng):
 
 def test_rank_deficient_design_is_flagged():
     from mffdfa import BasisFunction
-    dup = BasisFunction("dup", (lambda t: t, lambda t: 2 * t, np.ones_like))
+    dup = BasisFunction("dup", (lambda t: 2 * t,))
     fit = fit_least_squares(np.arange(20.0), dup)
     assert fit.rank_deficient
     np.testing.assert_allclose(fit.fitted, np.arange(20.0), atol=1e-9)
 
 
-def test_basis_without_constant_and_line_is_rejected():
+def test_lead_terms_inside_the_line_add_no_direction(rng):
     from mffdfa import BasisFunction
-    from mffdfa.detrend import DesignFit
-    no_line = BasisFunction("t2t3", (lambda t: t * t, lambda t: t ** 3))
-    with pytest.raises(InputError, match="does not span the constant and t"):
-        fit_least_squares(np.arange(30.0), no_line)
-    with pytest.raises(InputError, match="does not span"):
-        batch_segment_variances(np.ones((4, 30)), DetrendPolicy((no_line,)))
-    # a rank-deficient design whose span is exactly {1, t} is fine
-    dup = BasisFunction("dup", (lambda t: t, lambda t: 2 * t, np.ones_like))
+    # a rank-deficient design whose span is exactly {1, t}
+    dup = BasisFunction("dup", (lambda t: 2 * t,))
     fit = DesignFit(dup, 20)
     assert fit.rank_deficient and fit.W.shape == (20, 0)
+    # a basis that lists t and 1 among its lead terms fits as the one that
+    # does not, and is flagged
+    listed = BasisFunction("listed", (lambda t: t * t, lambda t: t, np.ones_like))
+    y = rng.standard_normal(30)
+    fit_listed = fit_least_squares(y, listed)
+    fit_lead = fit_least_squares(y, default_basis_set()[0])
+    assert fit_listed.rank_deficient and not fit_lead.rank_deficient
+    assert DesignFit(listed, 30).W.shape == (30, 1)
+    np.testing.assert_allclose(fit_listed.fitted, fit_lead.fitted, atol=1e-9)
 
 
 def test_fit_rejects_short_segment():
@@ -192,16 +196,16 @@ def test_default_basis_set_shape():
 
 def test_basis_regressor_values_at_two():
     q_set = default_basis_set()
-    t = np.array([2.0])
-    assert [phi(t)[0] for phi in q_set[0].regressors] == [4.0, 2.0, 1.0]
-    vals = [phi(t)[0] for phi in q_set[1].regressors]
+    # the design's row at t = 2
+    assert q_set[0].design(2)[1].tolist() == [4.0, 2.0, 1.0]
+    vals = q_set[1].design(2)[1].tolist()
     assert vals == [pytest.approx(np.sin(4.0)), 2.0, 1.0]
 
 
 def test_polynomial_basis_linear():
     basis = polynomial_basis(1)
-    t = np.array([3.0])
-    assert [phi(t)[0] for phi in basis.regressors] == [3.0, 1.0]
+    # the design's row at t = 3
+    assert basis.design(3)[2].tolist() == [3.0, 1.0]
     assert basis.parameter_count == 2
 
 
@@ -223,6 +227,8 @@ def test_polynomial_basis_m10_against_exact_oracle(rng):
 def test_polynomial_basis_rejects_m0():
     with pytest.raises(InputError):
         polynomial_basis(0)
+    with pytest.raises(InputError, match=f"m={M_MAX + 1} outside"):
+        polynomial_basis(M_MAX + 1)
 
 
 @given(segments)
@@ -281,9 +287,8 @@ def test_column_scaling_equivalence(rng):
     """Pre-scaling a design column must not move the fitted values."""
     from mffdfa import BasisFunction
     y = rng.standard_normal(70)
-    plain = BasisFunction("plain", (lambda t: t ** 3, lambda t: t, np.ones_like))
-    scaled = BasisFunction("scaled", (lambda t: 1e-6 * t ** 3, lambda t: 40.0 * t,
-                                      np.ones_like))
+    plain = BasisFunction("plain", (lambda t: t ** 3,))
+    scaled = BasisFunction("scaled", (lambda t: 1e-6 * t ** 3,))
     fit_a = fit_least_squares(y, plain)
     fit_b = fit_least_squares(y, scaled)
     np.testing.assert_allclose(fit_a.fitted, fit_b.fitted, rtol=1e-9, atol=1e-9)
