@@ -28,8 +28,7 @@ def run_one(a: float, n_max: int, s_lo: int, s_hi: int):
     # the dyadic grid is what keeps the log-periodic wobble out (see above)
     if not np.array_equal(surface.scales, 2 ** np.arange(s_lo, s_hi + 1)):
         raise RuntimeError(f"scale grid {surface.scales.tolist()} is not 2^{s_lo}..2^{s_hi}")
-    fractions = surface.selection_counts.sum(axis=0) / surface.segment_counts.sum()
-    return doc.hurst.q_grid, doc.hurst, doc.spectrum, dict(zip(surface.basis_names, fractions))
+    return doc.hurst.q_grid, doc.hurst, doc.spectrum, doc.selection_fractions()
 
 
 def main():

@@ -224,20 +224,19 @@ class FitResult:
 class DesignFit:
     """Precomputed least-squares operator for one (basis, s, abscissa).
 
-    Shares a single SVD across all segments of a scale.  Rank decisions use
-    the usual max(shape) * eps * sigma_max cutoff; rank-deficient designs
-    keep the span of their numerical range and are flagged; so is a basis
-    whose lead terms repeat t or 1.  W holds an orthonormal basis
-    (s, rank - 2) of the part of the span orthogonal to the constant and
-    the line t.
+    Shares a single SVD across all segments of a scale, which must be longer
+    than the basis has parameters: an exact fit leaves rounding noise as F^2.
+    Rank decisions use the usual max(shape) * eps * sigma_max cutoff;
+    rank-deficient designs keep the span of their numerical range and are
+    flagged; so is a basis whose lead terms repeat t or 1.  W holds an
+    orthonormal basis (s, rank - 2) of the part of the span orthogonal to
+    the constant and the line t.
     """
 
     def __init__(self, basis: BasisFunction, s: int, abscissa: str = "raw"):
-        if s < basis.parameter_count:
-            raise InputError(
-                f"segment length {s} below parameter count "
-                f"{basis.parameter_count} of basis {basis.name!r}"
-            )
+        if s <= basis.parameter_count:
+            raise InputError(f"segment length {s} not above the {basis.parameter_count} "
+                             f"parameters of basis {basis.name!r}; raise s_min")
         A = basis.design(s, abscissa)
         norms = np.sqrt(np.einsum("ij,ij->j", A, A))
         norms[norms == 0.0] = 1.0

@@ -28,8 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detrend import DetrendPolicy, batch_segment_variances
-from .errors import InputError, NumericalError
+from .errors import InputError
 from .segmentation import layout
+
+
+#: the most q nodes a grid may hold
+Q_NODES_MAX = 10_000
 
 
 def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -50,6 +54,8 @@ def default_q_grid(q_min: float = -10.0, q_max: float = 10.0,
         raise InputError(f"need finite q_min < q_max and a finite step > 0, "
                          f"got q_min={q_min} q_max={q_max} step={step}")
     steps = (q_max - q_min) / step
+    if not steps < Q_NODES_MAX - 0.5:  # round(steps) + 1 nodes; refuses inf before round()
+        raise InputError(f"q grid over {Q_NODES_MAX} nodes: (q_max - q_min) / step = {steps:.6g}")
     if abs(steps - round(steps)) > 1e-9 * steps:
         raise InputError(f"q step {step} does not divide q_max - q_min = {q_max - q_min}")
     n = int(round(steps)) + 1
@@ -127,11 +133,6 @@ def fluctuation_function(profile, scales, k: int, policy: DetrendPolicy,
             lse = logsumexp(q[idx, None] / 2.0 * log_fsq, axis=1)
             values[idx, j] = np.exp((lse - log_m[idx]) / q[idx])
 
-    if int(usable.sum()) < 4:
-        raise NumericalError(
-            f"only {int(usable.sum())} usable scales out of {scales.size}; "
-            "the scaling regression needs at least 4"
-        )
     return FluctuationSurface(
         q_grid=q, scales=scales, values=values,
         segment_counts=seg_counts, excluded_counts=excl_counts,

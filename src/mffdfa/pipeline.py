@@ -97,6 +97,13 @@ class ResultDocument:
     spectrum: SingularitySpectrum
     surface: FluctuationSurface
 
+    def selection_fractions(self) -> dict[str, float] | None:
+        """Each basis' share of all segments; None for a one-member Q (nothing to report)."""
+        totals = self.surface.selection_counts.sum(axis=0)
+        if totals.size == 1:
+            return None
+        return dict(zip(self.surface.basis_names, (totals / totals.sum()).tolist()))
+
     def to_dict(self) -> dict:
         diagnostics = {
             "scales": self.surface.scales.tolist(),
@@ -108,11 +115,9 @@ class ResultDocument:
                 for name, col in zip(self.surface.basis_names, self.surface.rank_deficient.T)
             },
         }
-        # a one-member Q picks its only basis everywhere: nothing to report
-        if len(self.surface.basis_names) > 1:
-            totals = self.surface.selection_counts.sum(axis=0)
-            frac = totals / max(int(totals.sum()), 1)
-            diagnostics["selection_fractions"] = dict(zip(self.surface.basis_names, frac.tolist()))
+        sel = self.selection_fractions()
+        if sel:
+            diagnostics["selection_fractions"] = sel
             diagnostics["selection_counts"] = {
                 name: col.tolist()
                 for name, col in zip(self.surface.basis_names, self.surface.selection_counts.T)
@@ -142,7 +147,7 @@ class ResultDocument:
         """Flat per-q table; scalars ride along as comment headers."""
         lines = [f"# delta_alpha = {self.spectrum.delta_alpha!r}"]
         lines += [f"# {key} = {self.config[key]}" for key in ("N", "method", "k")]
-        sel = self.to_dict()["diagnostics"].get("selection_fractions")
+        sel = self.selection_fractions()
         if sel:
             lines.append("# selection_fractions: "
                          + " ".join(f"{k}={v:.6f}" for k, v in sel.items()))
@@ -165,8 +170,10 @@ def analyze_series(x, config: AnalysisConfig) -> ResultDocument:
     lo, hi = config.fit_range()
     in_window = int(np.count_nonzero((scales >= lo) & (scales <= hi)))
     if in_window < 4:
-        raise InputError(f"fit window [{lo}, {hi}] holds {in_window} of the {scales.size} "
-                         "grid scales; the h(q) regression needs at least 4")
+        where = ("the grid holds " if in_window == scales.size else
+                 f"fit window [{lo}, {hi}] holds {in_window} of the grid's ")
+        raise InputError(f"{where}{scales.size} distinct scales in [{scales[0]}, {scales[-1]}] "
+                         f"(n_scales={config.n_scales}); the h(q) regression needs at least 4")
     q = default_q_grid(config.q_min, config.q_max, config.q_step)
     surface = fluctuation_function(profile, scales, config.effective_k(), config.policy(), q)
     hurst = fit_hurst(surface, s_range=(lo, hi))

@@ -35,21 +35,14 @@ def default_scale_grid(N: int, s_min: int = 30, s_max: int | None = None,
                        n_scales: int = 30) -> np.ndarray:
     """Approximately log-uniform integer scales in [s_min, s_max].
 
-    s_max defaults to floor(N/10).  Rounding to integers deduplicates the
-    small end of the grid; fewer than 4 surviving scales is an error since
-    the scaling-law regression needs at least that many points.
+    s_max defaults to floor(N/10); rounding deduplicates the small end.  Only
+    building the grid is checked here: DesignFit and analyze_series judge it.
     """
     if s_max is None:
         s_max = N // 10
-    if n_scales < 4:
-        raise InputError(f"n_scales={n_scales} below 4, the minimum for the scaling regression")
-    if s_min < 4:
-        raise InputError(f"s_min={s_min} too small; detrending needs more samples than parameters")
-    if not (s_min < s_max <= N):
-        raise InputError(f"need s_min < s_max <= N, got s_min={s_min} s_max={s_max} N={N}")
+    if not (n_scales >= 1 and 1 <= s_min < s_max <= N):
+        raise InputError(f"need n_scales >= 1 and 1 <= s_min < s_max <= N, got "
+                         f"n_scales={n_scales} s_min={s_min} s_max={s_max} N={N}")
     # sort and drop repeats; np.unique would load numpy.ma on first use
     grid = np.sort(np.rint(np.geomspace(s_min, s_max, n_scales)).astype(int))
-    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
-    if grid.size < 4:
-        raise InputError(f"only {grid.size} distinct scales in [{s_min}, {s_max}]; widen the range")
-    return grid
+    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import InputError, NumericalError
 from .fluctuation import FluctuationSurface
 
 
@@ -55,10 +55,8 @@ def fit_hurst(surface: FluctuationSurface, s_range: tuple[float, float] | None =
         lo, hi = s_range
         keep &= (surface.scales >= lo) & (surface.scales <= hi)
     if int(keep.sum()) < 4:
-        raise NumericalError(
-            f"{int(keep.sum())} usable scales for the h(q) regression "
-            f"(q from {surface.q_grid[0]} to {surface.q_grid[-1]}); need at least 4"
-        )
+        raise NumericalError(f"{int(keep.sum())} usable scales in the fit window for the "
+                             "h(q) regression; need at least 4")
     ls = np.log(surface.scales[keep].astype(float))
     lf = np.log(surface.values[:, keep])
     x = ls - ls.mean()
@@ -75,10 +73,10 @@ def fit_hurst(surface: FluctuationSurface, s_range: tuple[float, float] | None =
 
 
 def legendre_transform(hurst: GeneralizedHurst) -> SingularitySpectrum:
-    """(alpha, f(alpha)) from h(q); needs at least 3 q nodes to difference."""
+    """(alpha, f(alpha)) from h(q); the q grid, a setting, needs 3 nodes to difference."""
     q = hurst.q_grid
     if q.size < 3:
-        raise NumericalError("q grid too short for finite differences (need >= 3 points)")
+        raise InputError(f"q grid of {q.size} nodes too short for finite differences (need 3)")
     dh = np.gradient(hurst.h, q)
     alpha = hurst.h + q * dh
     f_alpha = q * (alpha - hurst.h) + 1.0

@@ -108,6 +108,10 @@ def test_missing_file_exits_two(tmp_path, capsys):
     (["--q-min", "nan"], "q_min=nan"),
     (["--q-max", "inf"], "q_max=inf"),
     (["--fit-lo", "60", "--fit-hi", "62"], "fit window [60, 62] holds 1 of the"),
+    (["--method", "mfdfa", "--m", "3", "--s-min", "4"], "segment length 4 not above the 4"),
+    (["--method", "mfdfa", "--m", "10", "--s-min", "11"], "segment length 11 not above the 11"),
+    (["--q-min", "-1", "--q-max", "1", "--q-step", "2"], "q grid of 2 nodes"),
+    (["--n-scales", "3"], "the grid holds 3 distinct scales"),
 ])
 def test_bad_analysis_setting_exits_two(tmp_path, capsys, flags, message):
     src = tmp_path / "x.csv"
@@ -437,6 +441,10 @@ def test_oracle_table_values(capsys):
 def test_oracle_non_finite_q_step_exits_two(capsys):
     assert main(["oracle", "--a", "0.65", "--q-step", "nan"]) == 2
     assert "step=nan" in capsys.readouterr().err
+    # finite bounds whose difference overflows
+    assert main(["oracle", "--a", "0.65", "--q-min=-1e308", "--q-max=1e308",
+                 "--q-step", "1"]) == 2
+    assert "over 10000 nodes" in capsys.readouterr().err
 
 
 def test_oracle_width_grows_with_a(capsys):

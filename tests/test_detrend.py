@@ -94,6 +94,10 @@ def test_lead_terms_inside_the_line_add_no_direction(rng):
 def test_fit_rejects_short_segment():
     with pytest.raises(InputError):
         fit_least_squares(np.ones(2), default_basis_set()[0])
+    # s == parameter_count fits exactly: no variance about the trend is left
+    for basis in (default_basis_set()[0], polynomial_basis(1), polynomial_basis(10)):
+        with pytest.raises(InputError, match="not above"):
+            fit_least_squares(np.arange(basis.parameter_count) ** 1.5, basis)
 
 
 def _select(segment):

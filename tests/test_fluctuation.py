@@ -12,6 +12,7 @@ from mffdfa import (
     build_profile,
     default_q_grid,
     default_scale_grid,
+    fit_hurst,
     fit_least_squares,
     fluctuation_function,
     polynomial_basis,
@@ -43,6 +44,12 @@ def test_q_grid_rejects_bad_step():
 def test_q_grid_rejects_step_that_overshoots_q_max(step):
     with pytest.raises(InputError, match="does not divide"):
         default_q_grid(-10, 10, step)
+
+
+def test_q_grid_caps_node_count():
+    assert default_q_grid(0, 9999, 1).size == 10_000
+    with pytest.raises(InputError, match="over 10000 nodes"):
+        default_q_grid(0, 10_000, 1)
 
 
 def _variances_vs_oracle(segments, m):
@@ -218,9 +225,11 @@ def test_aggregation_memory_stays_within_the_segment_matrix(monkeypatch):
 
 def test_all_zero_variance_raises_numerical_error():
     y = np.zeros(500)  # every segment excluded, no usable scale left
-    with pytest.raises(NumericalError, match="usable"):
-        fluctuation_function(y, np.array([20, 30, 40, 50]), 2,
-                             _poly(2), default_q_grid(-2, 2, 1.0))
+    surface = fluctuation_function(y, np.array([20, 30, 40, 50]), 2,
+                                   _poly(2), default_q_grid(-2, 2, 1.0))
+    assert not surface.usable.any()
+    with pytest.raises(NumericalError, match="0 usable scales"):
+        fit_hurst(surface)
 
 
 def test_selection_counts_shape_and_total(rng):

@@ -106,15 +106,10 @@ def test_default_grid_rejects_empty_range():
 
 
 def test_default_grid_rejects_too_few_scales():
-    # fewer than 4 requested points can never satisfy the >= 4 scale minimum
-    for n_scales in (3, 0, -3):
+    # the grid needs one point; whether its scales suffice is for its users
+    for n_scales in (0, -3):
         with pytest.raises(InputError):
             default_scale_grid(10_000, 30, 1000, n_scales)
-
-
-def test_default_grid_rejects_tiny_s_min():
-    with pytest.raises(InputError):
-        default_scale_grid(10_000, 3, 1000)
 
 
 @given(st.integers(100, 50_000), st.integers(4, 50), st.integers(5, 60))
@@ -122,9 +117,6 @@ def test_default_grid_sorted_dedup_bounded(N, s_min, n_scales):
     s_max = N // 10
     if s_min >= s_max:
         return
-    try:
-        grid = default_scale_grid(N, s_min, s_max, n_scales)
-    except InputError:
-        return  # too few distinct integers in range: allowed outcome
+    grid = default_scale_grid(N, s_min, s_max, n_scales)
     assert np.all(np.diff(grid) > 0)
     assert grid[0] >= s_min and grid[-1] <= s_max

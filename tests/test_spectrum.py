@@ -7,6 +7,7 @@ from mffdfa import (
     AnalysisConfig,
     FluctuationSurface,
     GeneralizedHurst,
+    InputError,
     NumericalError,
     analyze_series,
     cascade_oracle,
@@ -131,7 +132,7 @@ def test_alpha_monotone_on_cascade_fixture():
 def test_legendre_needs_three_points():
     hurst = GeneralizedHurst(q_grid=np.array([0.0, 1.0]), h=np.array([0.5, 0.5]),
                              intercepts=np.zeros(2), fit_r2=np.ones(2))
-    with pytest.raises(NumericalError):
+    with pytest.raises(InputError, match="q grid of 2 nodes"):
         legendre_transform(hurst)
 
 
