@@ -118,7 +118,7 @@ def cmd_generate(args) -> int:
             raise InputError("generate cascade requires --a and --n-max")
         series = generate_cascade(CascadeSpec(a=args.a, n_max=args.n_max))
         header = f"mffdfa generate kind=cascade a={args.a!r} n_max={args.n_max}"
-    body = "\n".join(repr(float(v)) for v in series)
+    body = "\n".join(map(repr, series.tolist()))
     _emit(f"# {header}\n{body}\n", args.output)
     return 0
 

@@ -53,14 +53,21 @@ def generate_fgn(spec: FbmSpec) -> np.ndarray:
 
     Levinson-Durbin on the target autocovariance: at step m the new sample
     is drawn from its exact conditional distribution given the past, so the
-    output has the fGn covariance exactly (not asymptotically).  O(N^2) time,
-    which is perfectly affordable at N ~ 10^4; deterministic given the seed.
+    output has the fGn covariance exactly (not asymptotically).  O(N^2) time
+    for correlated H, which is perfectly affordable at N ~ 10^4.  White noise
+    (H = 0.5, where gamma vanishes beyond lag 0) skips the recursion and costs
+    O(N), with the same values the recursion gives.  Deterministic given the
+    seed.
     """
     n = spec.length
     gamma = fgn_autocovariance(spec.hurst, n)
     rng = np.random.default_rng(spec.seed)
     z = rng.standard_normal(n)
 
+    if not gamma[1:].any():
+        # every kappa and phi is 0, so the recursion returns 0.0 + sqrt(gamma[0]) z
+        x = np.sqrt(gamma[0]) * z
+        return np.cumsum(x) if spec.output == "path" else x
     x = np.empty(n)
     phi = np.zeros(n)
     x[0] = np.sqrt(gamma[0]) * z[0]

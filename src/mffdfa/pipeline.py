@@ -20,7 +20,8 @@ from .errors import InputError, NumericalError
 from .fluctuation import FluctuationSurface, default_q_grid, fluctuation_function
 from .segmentation import default_scale_grid
 from .signal import as_series, build_profile
-from .spectrum import GeneralizedHurst, SingularitySpectrum, fit_hurst, legendre_transform
+from .spectrum import (GeneralizedHurst, SingularitySpectrum, check_q_grid, fit_hurst,
+                       legendre_transform)
 
 METHODS = ("mfdfa", "mfdfa_overlap", "mffdfa")
 
@@ -175,6 +176,7 @@ def analyze_series(x, config: AnalysisConfig) -> ResultDocument:
         raise InputError(f"{where}{scales.size} distinct scales in [{scales[0]}, {scales[-1]}] "
                          f"(n_scales={config.n_scales}); the h(q) regression needs at least 4")
     q = default_q_grid(config.q_min, config.q_max, config.q_step)
+    check_q_grid(q)  # a setting: refuse it before any detrending
     surface = fluctuation_function(profile, scales, config.effective_k(), config.policy(), q)
     hurst = fit_hurst(surface, s_range=(lo, hi))
     spec = legendre_transform(hurst)

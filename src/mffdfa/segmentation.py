@@ -27,7 +27,8 @@ def layout(profile: np.ndarray, s: int, k: int) -> np.ndarray:
     if s > N:
         raise InputError(f"scale s={s} exceeds series length N={N}")
     if k > s:
-        raise InputError(f"overlap factor k={k} exceeds s={s}; lower k so the stride stays >= 1")
+        raise InputError(f"scale s={s} is shorter than the overlap factor k={k}; "
+                         "raise s_min or lower k")
     return sliding_window_view(profile, s)[::s // k]
 
 

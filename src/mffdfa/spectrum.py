@@ -72,11 +72,16 @@ def fit_hurst(surface: FluctuationSurface, s_range: tuple[float, float] | None =
     return GeneralizedHurst(q_grid=surface.q_grid, h=h, intercepts=c0, fit_r2=r2)
 
 
-def legendre_transform(hurst: GeneralizedHurst) -> SingularitySpectrum:
-    """(alpha, f(alpha)) from h(q); the q grid, a setting, needs 3 nodes to difference."""
-    q = hurst.q_grid
+def check_q_grid(q: np.ndarray) -> None:
+    """The q grid, a setting, needs 3 nodes for the Legendre step to difference h(q)."""
     if q.size < 3:
         raise InputError(f"q grid of {q.size} nodes too short for finite differences (need 3)")
+
+
+def legendre_transform(hurst: GeneralizedHurst) -> SingularitySpectrum:
+    """(alpha, f(alpha)) from h(q) by finite differences on the q grid."""
+    q = hurst.q_grid
+    check_q_grid(q)
     dh = np.gradient(hurst.h, q)
     alpha = hurst.h + q * dh
     f_alpha = q * (alpha - hurst.h) + 1.0

@@ -112,6 +112,7 @@ def test_missing_file_exits_two(tmp_path, capsys):
     (["--method", "mfdfa", "--m", "10", "--s-min", "11"], "segment length 11 not above the 11"),
     (["--q-min", "-1", "--q-max", "1", "--q-step", "2"], "q grid of 2 nodes"),
     (["--n-scales", "3"], "the grid holds 3 distinct scales"),
+    (["--s-min", "1"], "raise s_min"),
 ])
 def test_bad_analysis_setting_exits_two(tmp_path, capsys, flags, message):
     src = tmp_path / "x.csv"
@@ -227,6 +228,16 @@ def test_generate_fbm_is_cumsum_of_fgn(tmp_path):
                  "--seed", "9", "-o", str(path)]) == 0
     np.testing.assert_allclose(read_series(str(path)),
                                np.cumsum(read_series(str(inc))), rtol=1e-12)
+
+
+def test_generate_white_noise_writes_the_normal_draws(tmp_path):
+    out = tmp_path / "wn.csv"
+    assert main(["generate", "fgn", "--hurst", "0.5", "--length", "200000",
+                 "--seed", "3", "-o", str(out)]) == 0
+    with open(out) as fh:
+        assert fh.readline() == "# mffdfa generate kind=fgn hurst=0.5 length=200000 seed=3\n"
+    expected = np.random.default_rng(3).standard_normal(200_000)
+    assert read_series(str(out)).tobytes() == expected.tobytes()
 
 
 def test_generate_missing_parameters_exit_two(capsys):
@@ -361,6 +372,16 @@ def test_config_stores_numpy_scalars_as_python_numbers():
     x = generate_fgn(FbmSpec(hurst=0.5, length=2000, seed=4))
     config = json.loads(analyze_series(x, cfg).to_json())["config"]
     assert (config["s_min"], config["q_step"]) == (30, 0.5)
+
+
+def test_short_q_grid_refused_before_detrending(tmp_path, capsys, monkeypatch):
+    def detrend(*args, **kwargs):
+        raise AssertionError("the q grid should be refused before any detrending")
+    monkeypatch.setattr(mffdfa.pipeline, "fluctuation_function", detrend)
+    src = tmp_path / "x.csv"
+    _write_series(src, np.random.default_rng(0).normal(size=1000))
+    assert main(["analyze", str(src), "--q-min", "-1", "--q-max", "1", "--q-step", "2"]) == 2
+    assert "q grid of 2 nodes" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- sweep-m

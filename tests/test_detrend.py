@@ -11,7 +11,9 @@ from mffdfa import (
     default_scale_grid,
     fit_least_squares,
     generate_cascade,
+    generate_fgn,
     CascadeSpec,
+    FbmSpec,
     build_profile,
     fluctuation_function,
     default_q_grid,
@@ -314,7 +316,7 @@ def _batched_ss_res(segments, policy):
     return variances * segments.shape[1]
 
 
-def test_ss_res_matches_extended_precision(fgn_bank):
+def test_ss_res_matches_extended_precision():
     """Batched ss_res per basis against a twice-orthogonalised longdouble fit.
 
     Profile segments carry a large offset and a large linear trend next to a
@@ -324,11 +326,7 @@ def test_ss_res_matches_extended_precision(fgn_bank):
     in blocks of two rows.
     """
     cascade = build_profile(generate_cascade(CascadeSpec(a=0.65, n_max=20)))
-    # exact fGn at H = 0.5 is white Gaussian noise, which generate_fgn draws
-    # as its generator's standard normals; the long series skips its O(N^2)
-    # recursion
-    white = np.random.default_rng(0).standard_normal(200_000)
-    np.testing.assert_array_equal(white[:10_000], fgn_bank(0.5, 10_000, 0))
+    white = generate_fgn(FbmSpec(hurst=0.5, length=200_000, seed=0))
     cases = []
     rng = np.random.default_rng(6)
     for name, profile in (("cascade", cascade), ("fgn", build_profile(white[:10_000]))):

@@ -21,19 +21,31 @@ def test_h_half_is_iid_gaussian():
     assert np.std(x) == pytest.approx(1.0, abs=0.05)
 
 
+@pytest.mark.parametrize("n", [2, 3, 1000, 200_000])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_h_half_is_exactly_the_scaled_normal_draws(n, seed):
+    # white noise skips the O(N^2) recursion, which took about 79 s at
+    # N = 200 000 on a 2-core machine; its values are the recursion's
+    z = np.sqrt(fgn_autocovariance(0.5, n)[0]) * np.random.default_rng(seed).standard_normal(n)
+    inc = generate_fgn(FbmSpec(hurst=0.5, length=n, seed=seed))
+    path = generate_fgn(FbmSpec(hurst=0.5, length=n, seed=seed, output="path"))
+    assert inc.tobytes() == z.tobytes()
+    assert path.tobytes() == np.cumsum(z).tobytes()
+
+
 def test_autocovariance_matches_closed_form():
-    h = 0.9
     n = 10_000
     lags = np.arange(1, 6)
-    gamma = fgn_autocovariance(h, 7)
-    est = np.zeros((10, lags.size))
-    for seed in range(10):
-        x = generate_fgn(FbmSpec(hurst=h, length=n, seed=seed))
-        for i, k in enumerate(lags):
-            est[seed, i] = np.mean(x[:-k] * x[k:])
-    mean = est.mean(axis=0)
-    se = est.std(axis=0, ddof=1) / np.sqrt(10)
-    assert np.all(np.abs(mean - gamma[lags]) <= 3 * se)
+    for h in (0.9, 0.7):
+        gamma = fgn_autocovariance(h, 7)
+        est = np.zeros((10, lags.size))
+        for seed in range(10):
+            x = generate_fgn(FbmSpec(hurst=h, length=n, seed=seed))
+            for i, k in enumerate(lags):
+                est[seed, i] = np.mean(x[:-k] * x[k:])
+        mean = est.mean(axis=0)
+        se = est.std(axis=0, ddof=1) / np.sqrt(10)
+        assert np.all(np.abs(mean - gamma[lags]) <= 3 * se), h
 
 
 def test_fgn_sample_mean_is_stationary_about_zero():
