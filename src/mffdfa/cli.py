@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from .detrend import ABSCISSAS, M_MAX
+from .detrend import ABSCISSAS, M_MAX, check_order
 from .errors import InputError, NumericalError
 from .fluctuation import default_q_grid
 from .generators import CascadeSpec, FbmSpec, cascade_oracle, generate_cascade, generate_fgn
@@ -77,14 +77,16 @@ def drop_overnight_returns(returns: np.ndarray, session_length: int) -> np.ndarr
 
 
 def _load_preprocessed(args) -> np.ndarray:
-    x = read_series(args.input)
     if args.drop_overnight and not args.log_returns:
         raise InputError("--drop-overnight only makes sense with --log-returns")
+    if args.session_length is not None and not args.drop_overnight:
+        raise InputError("--session-length only makes sense with --drop-overnight")
+    if args.drop_overnight and args.session_length is None:
+        raise InputError("--drop-overnight requires --session-length")
+    x = read_series(args.input)
     if args.log_returns:
         x = log_returns(x)
         if args.drop_overnight:
-            if args.session_length is None:
-                raise InputError("--drop-overnight requires --session-length")
             x = drop_overnight_returns(x, args.session_length)
     return x
 
@@ -126,8 +128,11 @@ def cmd_generate(args) -> int:
 def cmd_sweep_m(args) -> int:
     x = _load_preprocessed(args)
     base = _config_from_args(args)
-    if not (1 <= args.m_min <= args.m_max <= M_MAX):
-        raise InputError(f"m sweep range [{args.m_min}, {args.m_max}] outside [1, {M_MAX}]")
+    check_order(args.m_min)
+    check_order(args.m_max)
+    if args.m_min > args.m_max:
+        raise InputError(f"m sweep range [{args.m_min}, {args.m_max}] is inverted; "
+                         "need m_min <= m_max")
     rows = []
     for m in range(args.m_min, args.m_max + 1):
         for method in ("mfdfa", "mfdfa_overlap"):

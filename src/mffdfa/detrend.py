@@ -30,9 +30,13 @@ So one least-squares kernel serves every candidate at once:
   does not clear that bound -- the numerically constant ones -- take the
   exact floor from their row's extremes, so R^2 is what the row rule gives.
 * A batch goes through in blocks of about BLOCK_VALUES values and at least
-  two rows, so Z, R's one temporary and the products stay in cache and no
-  array of the batch's size is allocated; the segments can be a strided
-  view.
+  two rows, so Z, R's one temporary and the products stay in cache.  The
+  sums of about BLOCK_VALUES / 4 segments at a time are scored and reduced
+  to the winners' F^2 before the next ones are taken: the only arrays of
+  the batch's length are F^2 and the winning index, and the segments can
+  be a strided view.
+* A scale builds the linear frame once and holds its directions once: each
+  design's W is a view into B.
 
 Fitted values are invariant to the column scaling, so results don't depend
 on that internal convention.
@@ -59,9 +63,10 @@ R2_ZERO_TOL = 1e-12
 #: difference keeps a relative accuracy of eps / RESIDUAL_GUARD ~ 2e-13
 RESIDUAL_GUARD = 1e-3
 
-#: the kernel takes a batch in blocks of rows holding about this many values
-#: (256 KiB), so each pass over a block stays in a core's cache and no array
-#: of the batch's size is allocated
+#: every stage of an analysis works in blocks of about this many values
+#: (256 KiB of float64): the profile's partial sums, the kernel's rows, the
+#: scoring of its sums and the q sums.  Each pass over a block stays in a
+#: core's cache, and no temporary grows with the series
 BLOCK_VALUES = 2 ** 15
 
 #: the within-segment abscissa conventions: t = 1..s, or t/s
@@ -108,16 +113,43 @@ def _best_basis(r2: np.ndarray) -> np.ndarray:
     return np.argmax(r2 >= r2.max(axis=0) - TIE_EPS, axis=0)
 
 
-def _directions(s: int, ops: Sequence["DesignFit"]) -> np.ndarray:
-    """[1/sqrt(s), e_t, W_1, W_2, ...]: the constant, the line, then every
-    design's own directions, (s, 2 + sum w)."""
-    return np.column_stack([_linear_frame(s)] + [op.W for op in ops])
+def _designs(s: int, bases: Sequence["BasisFunction"], abscissa: str):
+    """The DesignFits of one scale and their directions B.
+
+    B = [1/sqrt(s), e_t, W_1, W_2, ...] is the constant, the line, then every
+    design's own directions, (s, 2 + sum w).  The linear frame is built once
+    for all designs, and each design's W becomes a view into B, so the scale
+    holds each direction once.
+    """
+    frame = _linear_frame(s)
+    ops = [DesignFit(b, s, abscissa, frame) for b in bases]
+    B = np.empty((s, 2 + sum(op.W.shape[1] for op in ops)))
+    B[:, :2] = frame
+    col = 2
+    for op in ops:
+        w = op.W.shape[1]
+        B[:, col:col + w] = op.W
+        op.W = B[:, col:col + w]
+        col += w
+    return ops, B
+
+
+def _remove_span(R: np.ndarray, W: np.ndarray) -> None:
+    """Subtract from the rows of R, in place, their projection on the
+    orthonormal columns of W.
+
+    The products run on a contiguous copy of W: BLAS takes another routine,
+    and rounds differently, for a column strided by B's width, and the copy
+    keeps the residual the same whichever B the design sits in.
+    """
+    W = np.ascontiguousarray(W)
+    R -= (R @ W) @ W.T
 
 
 def _kernel(Y: np.ndarray, ops: Sequence["DesignFit"], B: np.ndarray):
     """The detrending kernel, for the rows of Y (shape (M, s)) and every design.
 
-    B is _directions(s, ops).  Returns (ss_res, ss_tot, floor, R): residual
+    B comes from _designs with ops.  Returns (ss_res, ss_tot, floor, R): residual
     sums of squares with shape (len(ops), M), total sums of squares about
     the row means, noise floors and the linear residuals R (M, s).  A floor
     is the row's own (_noise_floor) where ss_tot does not clear it by a
@@ -139,7 +171,7 @@ def _kernel(Y: np.ndarray, ops: Sequence["DesignFit"], B: np.ndarray):
         low = np.flatnonzero(ss_res[b] < RESIDUAL_GUARD * rr)
         if low.size:
             resid = R[low]
-            resid -= (resid @ op.W) @ op.W.T
+            _remove_span(resid, op.W)
             ss_res[b, low] = np.einsum("ij,ij->i", resid, resid)
     ss_tot = rr + C[:, 1] ** 2
     # |y_t| <= |y_mid| + |Z| with |Z|^2 = ss_tot + C_1^2; the factor 2 covers
@@ -149,20 +181,6 @@ def _kernel(Y: np.ndarray, ops: Sequence["DesignFit"], B: np.ndarray):
     if near.size:
         floor[near] = _noise_floor(Y[near])
     return ss_res, ss_tot, floor, R
-
-
-def _residual_sums(Y: np.ndarray, ops: Sequence["DesignFit"]):
-    """(ss_res, ss_tot, floor) of _kernel over a whole batch, BLOCK_VALUES at a time."""
-    M, s = Y.shape
-    B = _directions(s, ops)
-    ss_res, ss_tot, floor = np.empty((len(ops), M)), np.empty(M), np.empty(M)
-    # two rows at least: a one-row block turns both products into
-    # matrix-vector passes over all of B
-    rows = max(2, BLOCK_VALUES // s)
-    for i in range(0, M, rows):
-        block = slice(i, i + rows)
-        ss_res[:, block], ss_tot[block], floor[block], _ = _kernel(Y[block], ops, B)
-    return ss_res, ss_tot, floor
 
 
 @dataclass(frozen=True)
@@ -206,10 +224,15 @@ def default_basis_set() -> list[BasisFunction]:
     ]
 
 
+def check_order(m: int) -> None:
+    """Refuse a fixed detrending order outside [1, M_MAX]."""
+    if not 1 <= m <= M_MAX:
+        raise InputError(f"detrending order m={m} outside [1, {M_MAX}]")
+
+
 def polynomial_basis(m: int) -> BasisFunction:
     """Full polynomial of order m: lead terms t^m, ..., t^2 (none for m = 1)."""
-    if not 1 <= m <= M_MAX:
-        raise InputError(f"polynomial order m={m} outside [1, {M_MAX}]")
+    check_order(m)
     return BasisFunction(f"poly{m}", tuple((lambda t, j=j: t ** j) for j in range(m, 1, -1)))
 
 
@@ -230,23 +253,27 @@ class DesignFit:
     rank-deficient designs keep the span of their numerical range and are
     flagged; so is a basis whose lead terms repeat t or 1.  W holds an
     orthonormal basis (s, rank - 2) of the part of the span orthogonal to
-    the constant and the line t.
+    the constant and the line t.  ``frame`` is _linear_frame(s), for a
+    caller that shares one among the designs of a scale.
     """
 
-    def __init__(self, basis: BasisFunction, s: int, abscissa: str = "raw"):
+    def __init__(self, basis: BasisFunction, s: int, abscissa: str = "raw",
+                 frame: np.ndarray | None = None):
         if s <= basis.parameter_count:
             raise InputError(f"segment length {s} not above the {basis.parameter_count} "
                              f"parameters of basis {basis.name!r}; raise s_min")
         A = basis.design(s, abscissa)
         norms = np.sqrt(np.einsum("ij,ij->j", A, A))
         norms[norms == 0.0] = 1.0
-        U, sv, _ = np.linalg.svd(A / norms, full_matrices=False)
+        A /= norms
+        U, sv, _ = np.linalg.svd(A, full_matrices=False)
         rcond = max(A.shape) * np.finfo(float).eps
+        del A                       # only U is needed from here on
         rank = int(np.count_nonzero(sv > rcond * sv[0]))
         U = U[:, :rank]
         # t and 1 are columns of A, so span(U) holds them: past the first two,
         # the left singular vectors of U^T [1, t] point away from both
-        V, _, _ = np.linalg.svd(U.T @ _linear_frame(s))
+        V, _, _ = np.linalg.svd(U.T @ (_linear_frame(s) if frame is None else frame))
         self.W = U @ V[:, 2:]
         self.rank_deficient = rank < basis.parameter_count
 
@@ -254,15 +281,14 @@ class DesignFit:
 def fit_least_squares(segment, basis: BasisFunction, abscissa: str = "raw") -> FitResult:
     """Least-squares fit of one basis to one segment (a batch of one for the kernel)."""
     y = np.asarray(segment, dtype=float)
-    op = DesignFit(basis, y.size, abscissa)
-    Y = y[None, :]
-    ss_res, ss_tot, floor, R = _kernel(Y, [op], _directions(y.size, [op]))
-    resid = R - (R @ op.W) @ op.W.T
+    ops, B = _designs(y.size, [basis], abscissa)
+    ss_res, ss_tot, floor, R = _kernel(y[None, :], ops, B)
+    _remove_span(R, ops[0].W)
     return FitResult(
-        fitted=y - resid[0],
+        fitted=y - R[0],
         ss_res=float(ss_res[0, 0]),
         r_squared=float(_r_squared(ss_tot, floor, ss_res[0])[0]),
-        rank_deficient=op.rank_deficient,
+        rank_deficient=ops[0].rank_deficient,
     )
 
 
@@ -294,7 +320,21 @@ def batch_segment_variances(segments: np.ndarray, policy: DetrendPolicy):
     cost is paid once per (scale, basis).
     """
     M, s = segments.shape
-    ops = [DesignFit(b, s, policy.abscissa) for b in policy.bases]
-    ss_res, ss_tot, floor = _residual_sums(segments, ops)
-    chosen = _best_basis(_r_squared(ss_tot, floor, ss_res))
-    return ss_res[chosen, np.arange(M)] / s, chosen, tuple(op.rank_deficient for op in ops)
+    ops, B = _designs(s, policy.bases, policy.abscissa)
+    fsq, chosen = np.empty(M), np.empty(M, dtype=np.intp)
+    # two rows at least: a one-row block turns both products into
+    # matrix-vector passes over all of B
+    rows = max(2, BLOCK_VALUES // s)
+    # the sums of a group of whole blocks, about BLOCK_VALUES / 4 segments,
+    # are scored at once: block by block, the scoring's calls would cost more
+    # than its work.  Each block's residuals R are dropped as _kernel returns
+    group = rows * max(1, BLOCK_VALUES // (4 * rows))
+    for g in range(0, M, group):
+        Y = segments[g:g + group]
+        sums = [_kernel(Y[i:i + rows], ops, B)[:3] for i in range(0, len(Y), rows)]
+        ss_res, ss_tot, floor = (np.concatenate(part, axis=-1) for part in zip(*sums))
+        best = _best_basis(_r_squared(ss_tot, floor, ss_res))
+        chosen[g:g + group] = best
+        fsq[g:g + group] = ss_res[best, np.arange(best.size)]
+    fsq /= s
+    return fsq, chosen, tuple(op.rank_deficient for op in ops)

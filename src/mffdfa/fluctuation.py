@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detrend import DetrendPolicy, batch_segment_variances
+from .detrend import BLOCK_VALUES, DetrendPolicy, batch_segment_variances
 from .errors import InputError
 from .segmentation import layout
 
@@ -83,16 +83,14 @@ def fluctuation_function(profile, scales, k: int, policy: DetrendPolicy,
                          q_grid) -> FluctuationSurface:
     """Steps 2-4: segment, detrend, and aggregate over the scale grid.
 
-    The segments of a scale are ``layout``'s strided view of the profile;
-    the detrending kernel centres them into the one (M, s) array a scale
-    allocates.
+    The segments of a scale are ``layout``'s strided view of the profile,
+    which detrending reads a block of rows at a time; of a scale's arrays
+    only F^2 and the winning basis have one entry per segment.
     At each scale the nonzero q are aggregated a block of rows at a time,
     one logsumexp over the (rows, M) matrix of q/2 * ln F^2 per block.  A
-    block holds at most max(1, s // 4) rows: at s >= 4 it is at most a
-    quarter of the (s, M) segment matrix the scale already holds, so peak
-    memory stays set by detrending whatever the length of the q grid (one
-    block of the default 100 nonzero q would be over three times that
-    matrix at s = 30).
+    block holds about BLOCK_VALUES / 4 values and at least one row, so its
+    three temporaries stay in cache next to detrending's blocks, whatever
+    the length of the q grid and the number of segments.
     Each row is reduced on its own, in ascending segment order, so F_q(s)
     does not depend on how the rows are blocked.
     """
@@ -127,7 +125,7 @@ def fluctuation_function(profile, scales, k: int, policy: DetrendPolicy,
         log_fsq = np.log(fsq[nonzero])
         values[q == 0.0, j] = np.exp(log_fsq.mean() / 2.0)
         log_m = np.where(q > 0.0, np.log(seg_counts[j]), np.log(m_nz))
-        rows = max(1, int(s) // 4)
+        rows = max(1, BLOCK_VALUES // (4 * m_nz))
         for b in range(0, q_nz.size, rows):
             idx = q_nz[b:b + rows]
             lse = logsumexp(q[idx, None] / 2.0 * log_fsq, axis=1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detrend import ABSCISSAS, M_MAX, DetrendPolicy, polynomial_basis
+from .detrend import ABSCISSAS, DetrendPolicy, check_order, polynomial_basis
 from .errors import InputError, NumericalError
 from .fluctuation import FluctuationSurface, default_q_grid, fluctuation_function
 from .segmentation import default_scale_grid
@@ -64,8 +64,7 @@ class AnalysisConfig:
             raise InputError(f"unknown method {self.method!r}; pick one of {METHODS}")
         if self.abscissa not in ABSCISSAS:
             raise InputError(f"abscissa must be one of {ABSCISSAS}, got {self.abscissa!r}")
-        if not 1 <= self.m <= M_MAX:
-            raise InputError(f"detrending order m={self.m} outside the sweep range [1, {M_MAX}]")
+        check_order(self.m)
         if self.fit_lo is not None and self.fit_hi is not None and self.fit_lo > self.fit_hi:
             raise InputError(f"fit window [{self.fit_lo}, {self.fit_hi}] is inverted; "
                              "need fit_lo <= fit_hi")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .detrend import BLOCK_VALUES
 from .errors import InputError
 
 
@@ -38,14 +39,29 @@ def as_series(values, name: str = "series") -> np.ndarray:
 def build_profile(series) -> np.ndarray:
     """Step 1: turn a raw series into its profile Y(j), a float64 array.
 
-    The mean and the partial sums are accumulated in the widest float
-    the platform offers (one deterministic pre-pass, no streaming), then
-    cast back to float64.
+    The mean and the partial sums are accumulated in the widest float the
+    platform offers, then cast back to float64.  The mean is one pairwise
+    sum over a wide copy of the whole series; the partial sums then run
+    BLOCK_VALUES samples at a time into the float64 result, each block
+    starting from the last wide sum of the one before.  That is the
+    addition a single running sum makes, so the result does not depend on
+    the blocking.  The mean's wide copy, freed before the result is
+    allocated, is the largest array: twice the series' bytes where long
+    double takes 16.
     """
     x = as_series(series)
-    wide = x.astype(np.longdouble)
-    wide -= wide.mean()
-    return np.cumsum(wide, out=wide).astype(float)
+    mean = x.astype(np.longdouble).mean()
+    profile = np.empty(x.size)
+    carry = None                    # not 0.0, which would turn a leading -0.0 into +0.0
+    for i in range(0, x.size, BLOCK_VALUES):
+        wide = x[i:i + BLOCK_VALUES].astype(np.longdouble)
+        wide -= mean
+        if carry is not None:
+            wide[0] += carry
+        np.cumsum(wide, out=wide)
+        profile[i:i + BLOCK_VALUES] = wide
+        carry = wide[-1]
+    return profile
 
 
 def log_returns(prices) -> np.ndarray:

@@ -280,6 +280,15 @@ def test_drop_overnight_needs_log_returns(tmp_path, capsys):
     assert "--log-returns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "sweep-m"])
+def test_session_length_needs_drop_overnight(tmp_path, capsys, command):
+    src = tmp_path / "prices.csv"
+    _write_series(src, _prices())
+    assert main([command, str(src), "--log-returns", "--session-length", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "error: input:" in err and "--drop-overnight" in err
+
+
 def test_drop_overnight_removes_boundary_returns(tmp_path, capsys):
     src = tmp_path / "prices.csv"
     _write_series(src, _prices(n=1201))
@@ -440,6 +449,19 @@ def test_sweep_range_validated(tmp_path, capsys):
     _write_series(src, np.random.default_rng(0).normal(size=800))
     assert main(["sweep-m", str(src), "--m-min", "0", "--m-max", "3"]) == 2
     assert main(["sweep-m", str(src), "--m-min", "3", "--m-max", "2"]) == 2
+
+
+def test_m_range_has_one_message(tmp_path, capsys):
+    """The config, the basis and the sweep refuse an order with the same words."""
+    src = tmp_path / "x.csv"
+    _write_series(src, np.random.default_rng(0).normal(size=800))
+    with pytest.raises(InputError) as basis:
+        mffdfa.polynomial_basis(11)
+    with pytest.raises(InputError) as config:
+        AnalysisConfig(method="mfdfa", m=11)
+    assert main(["sweep-m", str(src), "--m-min", "2", "--m-max", "11"]) == 2
+    assert str(basis.value) == str(config.value) and "m=11 outside" in str(basis.value)
+    assert capsys.readouterr().err == f"error: input: {basis.value}\n"
 
 
 # ------------------------------------------------------------------ oracle

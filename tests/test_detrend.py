@@ -21,14 +21,17 @@ from mffdfa import (
     polynomial_basis,
 )
 from mffdfa.detrend import (
+    BLOCK_VALUES,
     M_MAX,
     R2_ZERO_TOL,
     RESIDUAL_GUARD,
+    BasisFunction,
     DesignFit,
     _best_basis,
+    _designs,
+    _kernel,
     _noise_floor,
     _r_squared,
-    _residual_sums,
     batch_segment_variances,
 )
 
@@ -183,7 +186,7 @@ def test_bounded_floor_selects_as_the_row_floor(offset):
     assert np.all(np.argmax(np.abs(Y), axis=1) == s - 1)
 
     policy = DetrendPolicy()
-    ss_res, ss_tot, _ = _residual_sums(Y, [DesignFit(b, s) for b in policy.bases])
+    ss_res, ss_tot, _, _ = _kernel(Y, *_designs(s, policy.bases, policy.abscissa))
     row_floor = _noise_floor(Y)
     above = ss_tot > row_floor
     assert 0.2 < above.mean() < 0.8
@@ -192,6 +195,58 @@ def test_bounded_floor_selects_as_the_row_floor(offset):
     assert np.any(expected[above] != 0) and np.all(expected[~above] == 0)
     _, chosen, _ = batch_segment_variances(Y, policy)
     np.testing.assert_array_equal(chosen, expected)
+
+
+def test_blocks_select_as_the_whole_batch():
+    """Scoring group by group against the kernel's sums gathered over the
+    whole batch, then scored and picked at once.
+
+    The batch spans several groups of blocks and holds rows that take the
+    explicit residual, exact and near-constant rows, under a basis set with
+    a rank-deficient member.  The reference reads the same row blocks: BLAS
+    may round a row differently in a product with more rows.
+    """
+    s = 40
+    rows = max(2, BLOCK_VALUES // s)
+    rng = np.random.default_rng(8)
+    walks = np.cumsum(rng.standard_normal((BLOCK_VALUES // 2, s)), axis=1)
+    x = np.arange(1, s + 1) / s
+    n_cubic = BLOCK_VALUES // 4
+    cubics = (rng.uniform(1.0, 2.0, (n_cubic, 1)) * x ** 3
+              + 1e-9 * rng.standard_normal((n_cubic, s)))
+    level = rng.uniform(-1e3, 1e3, (40, 1))
+    flat = np.vstack([np.repeat(level, s, axis=1),
+                      level * (1.0 + 1e-13 * rng.standard_normal((40, s)))])
+    Y = np.vstack([walks, cubics, flat])
+    Y = Y[rng.permutation(len(Y))]
+    policy = DetrendPolicy(tuple(default_basis_set())
+                           + (BasisFunction("line-again", (lambda t: 2.0 * t,)),))
+
+    ops, B = _designs(s, policy.bases, policy.abscissa)
+    sums = [_kernel(Y[i:i + rows], ops, B)[:3] for i in range(0, len(Y), rows)]
+    ss_res, ss_tot, floor = (np.concatenate(part, axis=-1) for part in zip(*sums))
+    # the last basis adds no direction, so its ss_res is the linear residual
+    # the guard compares with; the cubic rows fall below that share
+    cubic, line = 2, 3
+    assert np.count_nonzero(ss_res[cubic] < RESIDUAL_GUARD * ss_res[line]) >= n_cubic
+    assert np.count_nonzero(ss_tot <= floor) >= 40
+    expected = _best_basis(_r_squared(ss_tot, floor, ss_res))
+
+    fsq, chosen, rank_deficient = batch_segment_variances(Y, policy)
+    assert rank_deficient == (False, False, False, True)
+    np.testing.assert_array_equal(chosen, expected)
+    assert fsq.tobytes() == (ss_res[expected, np.arange(len(Y))] / s).tobytes()
+
+
+def test_designs_hold_each_direction_once():
+    """Each design's W is a view into the scale's B, equal to the W it builds alone."""
+    s = 50
+    bases = default_basis_set()
+    ops, B = _designs(s, bases, "raw")
+    assert B.shape == (s, 5)
+    for basis, op in zip(bases, ops):
+        assert np.shares_memory(op.W, B)
+        np.testing.assert_array_equal(op.W, DesignFit(basis, s).W)
 
 
 def test_default_basis_set_shape():

@@ -6,18 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mffdfa import (
+    AnalysisConfig,
+    CascadeSpec,
     DetrendPolicy,
     InputError,
     NumericalError,
+    analyze_series,
     build_profile,
     default_q_grid,
     default_scale_grid,
     fit_hurst,
     fit_least_squares,
     fluctuation_function,
+    generate_cascade,
     polynomial_basis,
 )
-from mffdfa.detrend import batch_segment_variances
+from mffdfa.detrend import BLOCK_VALUES, batch_segment_variances
 from mffdfa.segmentation import layout
 
 import oracles
@@ -205,22 +209,47 @@ def test_logsumexp_matches_scipy_without_overflow(rng):
     assert out[3] == fl.logsumexp(a[3], axis=0)
 
 
-def test_aggregation_memory_stays_within_the_segment_matrix(monkeypatch):
+def _traced_peak(run):
+    """Peak bytes that tracemalloc sees while run() works."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_aggregation_memory_stays_within_its_blocks(monkeypatch):
+    """The q sums hold three temporaries of one block next to a few
+    per-segment vectors, at every scale and for the whole q grid.
+
+    At s = 30 the 2^17-point profile has more segments than a block's
+    share of BLOCK_VALUES, so its blocks are single rows; larger scales
+    stack rows.
+    """
     import mffdfa.fluctuation as fl
     monkeypatch.setattr(fl, "batch_segment_variances",
                         lambda segments, policy: (np.linspace(0.5, 2.0, len(segments)),
                                                   np.zeros(len(segments), dtype=int), (False,)))
-    n, k = 2 ** 16, 2
+    n, k = 2 ** 17, 2
     profile = _white_profile(n)
     scales = default_scale_grid(n)
-    largest = max(8 * int(s) * len(layout(profile, int(s), k)) for s in scales)
-    tracemalloc.start()
-    try:
-        fl.fluctuation_function(profile, scales, k, _poly(2), default_q_grid())
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.5 * largest
+    M = len(layout(profile, int(scales[0]), k))
+    assert M > BLOCK_VALUES // 4
+    peak = _traced_peak(lambda: fl.fluctuation_function(profile, scales, k, _poly(2),
+                                                        default_q_grid()))
+    # a block's three temporaries, then F^2, the winners, the nonzero mask,
+    # ln F^2 and its argument, and a margin for the (q, scale) tables
+    assert peak <= 8 * (3 * max(BLOCK_VALUES // 4, M) + 6 * M)
+
+
+def test_analysis_memory_stays_near_two_profiles():
+    """analyze_series on 2^18 points peaks at the mean's wide copy of the
+    series (2 x 8N bytes where long double takes 16), plus a margin for a
+    scale's designs."""
+    x = generate_cascade(CascadeSpec(a=0.65, n_max=18))
+    peak = _traced_peak(lambda: analyze_series(x, AnalysisConfig()))
+    assert peak <= 2.25 * 8 * x.size
 
 
 def test_all_zero_variance_raises_numerical_error():

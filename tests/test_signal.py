@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mffdfa import InputError, build_profile, log_returns
+from mffdfa.detrend import BLOCK_VALUES
 
 import oracles
 
@@ -35,6 +36,30 @@ def test_profile_endpoint_returns_to_zero(rng):
     x = rng.standard_normal(10_000) * 37.0
     y = build_profile(x)
     assert abs(y[-1]) <= 1e-9 * x.size * np.abs(x).max()
+
+
+def _one_pass_profile(x):
+    """The profile as one wide running sum over the whole series."""
+    wide = np.asarray(x, dtype=float).astype(np.longdouble)
+    wide -= wide.mean()
+    return np.cumsum(wide, out=wide).astype(float)
+
+
+@pytest.mark.parametrize("n", [2, BLOCK_VALUES - 1, BLOCK_VALUES, BLOCK_VALUES + 1,
+                               3 * BLOCK_VALUES + 5])
+def test_profile_blocks_equal_one_running_sum(n):
+    """Bit for bit, signed zeros included, whatever the blocks' boundaries.
+
+    The integer series sums to exactly zero and starts with -0.0, so its
+    profile starts with -0.0 too; the other one carries a large offset.
+    """
+    rng = np.random.default_rng(n)
+    ints = rng.integers(-1000, 1000, n).astype(float)
+    ints[0] = -0.0
+    ints[-1] = 0.0 - ints[1:-1].sum()        # +0.0 when the middle is empty
+    assert np.signbit(_one_pass_profile(ints)[0])
+    for x in (ints, 1e6 + rng.standard_normal(n)):
+        assert build_profile(x).tobytes() == _one_pass_profile(x).tobytes()
 
 
 def test_profile_length_matches_input(rng):
