@@ -12,11 +12,12 @@ Subcommands:
 * ``oracle``   -- tabulate the analytic cascade spectrum.
 
 Analysis flags and a ``--config`` JSON file (flags win) set AnalysisConfig
-fields, and AnalysisConfig checks them.  Input files are plain CSV, one
-value per line, '#' comments allowed; an optional second column is
-ignored with a warning.  Output is JSON by default (top-level keys:
-config, hurst, spectrum, delta_alpha, diagnostics) or a flat CSV table
-with --format csv.  Exit codes: 0 on success, 2 for input errors, 3 for
+fields, and AnalysisConfig checks them.  Input files are plain CSV in
+UTF-8 (a byte-order mark is skipped), one value per line, '#' comments
+allowed; an optional second column is ignored with a warning.  Output is
+JSON by default (top-level keys: config, hurst, spectrum, delta_alpha,
+diagnostics) or a flat CSV table with --format csv.  Exit codes: 0 on
+success, 2 for input errors (an unwritable -o path among them), 3 for
 numerical failures.
 """
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 
@@ -39,26 +41,71 @@ from .signal import log_returns
 
 
 def read_series(path: str) -> np.ndarray:
-    """One float per line; '#' lines skipped; 2nd column tolerated with a warning."""
-    values = []
-    warned = False
+    """One float per line; '#' lines skipped; 2nd column tolerated with a warning.
+
+    Input is UTF-8, with or without a byte-order mark.  A file that holds one
+    plain number per line after its leading '#' and blank lines is parsed by
+    NumPy's C reader in one pass; any other file goes through the line loop,
+    which gives the same values and alone words the warnings and errors.
+    """
     try:
-        fh = open(path, "r")
+        fh = open(path, encoding="utf-8-sig")
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from None
     with fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.replace(",", " ").split()
-            if len(parts) > 1 and not warned:
-                print(f"warning: {path}:{lineno}: extra columns ignored", file=sys.stderr)
-                warned = True
+        values = None
+        # the line loop rereads what the C reader refuses, and a pipe cannot be read twice
+        if fh.seekable():
             try:
-                values.append(float(parts[0]))
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: not a number: {parts[0]!r}") from None
+                values = _read_plain(fh)
+            except ValueError:  # a line the C reader refuses, or bytes that are not UTF-8
+                pass
+            fh.seek(0)
+        if values is None:
+            # an undecodable byte reaches the loop as a lone surrogate, so it can name the line
+            fh.reconfigure(errors="surrogateescape")
+            values = _read_lines(fh, path)
+    return values
+
+
+def _read_plain(fh) -> np.ndarray | None:
+    """The values of a file of one plain number per line after its leading
+    '#' and blank lines; None when no data line follows them."""
+    for line in fh:
+        text = line.strip()
+        if text and not text.startswith("#"):
+            break
+    else:
+        return None
+    if len(text.replace(",", " ").split()) > 1:  # columns: the loop's, without a wasted parse
+        return None
+    # comments=None: a later '#' line, or '1.5 # note', is the loop's to warn about or refuse
+    values = np.loadtxt(itertools.chain([line], fh), dtype=float, comments=None, ndmin=2)
+    # ndmin=2 keeps a single row of several columns from passing as one column
+    return values[:, 0] if values.shape[1] == 1 else None
+
+
+def _read_lines(fh, path: str) -> np.ndarray:
+    """The line loop: the reference for read_series' values, and the one
+    source of its warning and its line-numbered errors."""
+    values = []
+    warned = False
+    for lineno, line in enumerate(fh, start=1):
+        try:
+            line.encode()
+        except UnicodeEncodeError:
+            raise InputError(f"{path}:{lineno}: not UTF-8 text") from None
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        parts = text.replace(",", " ").split()
+        if len(parts) > 1 and not warned:
+            print(f"warning: {path}:{lineno}: extra columns ignored", file=sys.stderr)
+            warned = True
+        try:
+            values.append(float(parts[0]))
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: not a number: {parts[0]!r}") from None
     if not values:
         raise InputError(f"{path}: no data lines")
     return np.asarray(values)
@@ -95,8 +142,11 @@ def _emit(text: str, output: str | None):
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise InputError(f"cannot write {output}: {e}") from None
 
 
 def cmd_analyze(args) -> int:

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mffdfa
+import mffdfa.cli as cli
 from mffdfa import FbmSpec, InputError, generate_fgn
 from mffdfa.cli import (
     AnalysisConfig,
@@ -95,6 +97,32 @@ def test_unparsable_value_exits_two(tmp_path, capsys):
 def test_missing_file_exits_two(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.csv")]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, line", [
+    (b"# h\n1.5\n\xff\xfe2\n", 3),
+    (b"# \xe9t\xe9\n1.5\n2.5\n", 1),
+], ids=["data-line", "header"])
+def test_undecodable_input_exits_two(tmp_path, capsys, content, line):
+    src = tmp_path / "latin1.csv"
+    src.write_bytes(content)
+    assert main(["analyze", str(src)]) == 2
+    assert capsys.readouterr().err == f"error: input: {src}:{line}: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{src}"],
+    ["sweep-m", "{src}", "--m-max", "1", "--n-scales", "10"],
+    ["generate", "cascade", "--a", "0.65", "--n-max", "8"],
+    ["oracle", "--a", "0.65"],
+])
+def test_unwritable_output_exits_two(tmp_path, capsys, argv):
+    src = tmp_path / "x.csv"
+    _write_series(src, np.random.default_rng(0).normal(size=1000))
+    out = tmp_path / "no" / "such" / "dir.json"
+    assert main([a.format(src=src) for a in argv] + ["-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: input: cannot write {out}: ")
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -203,6 +231,111 @@ def test_read_series_empty_file_rejected(tmp_path):
     src.write_text("# only comments\n\n")
     with pytest.raises(InputError, match="no data lines"):
         read_series(str(src))
+
+
+@pytest.mark.parametrize("text", ["\ufeff# header\n1.5\n2.5\n", "\ufeff1.5\n2.5\n"],
+                         ids=["before-comment", "before-data"])
+def test_read_series_skips_a_byte_order_mark(tmp_path, capsys, text):
+    # a spreadsheet's "CSV UTF-8" export starts with U+FEFF
+    src = tmp_path / "bom.csv"
+    src.write_text(text, encoding="utf-8")
+    assert read_series(str(src)).tolist() == [1.5, 2.5]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_read_series_reads_a_pipe_in_one_go(capsys):
+    # a pipe cannot be reread, so the line loop alone reads it
+    r, w = os.pipe()
+    with os.fdopen(w, "wb") as fh:
+        fh.write(b"# h\n1.0, 10.0\n2.0, 20.0\n")
+    try:
+        values = read_series(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert values.tolist() == [1.0, 2.0]
+    assert capsys.readouterr().err == f"warning: /dev/fd/{r}:2: extra columns ignored\n"
+
+
+# None stands for `mffdfa generate` output followed by extreme reprs; the
+# flag says whether NumPy's C reader takes the file, or only the line loop
+READ_CASES = {
+    "generate-output": (None, True),
+    "comment-after-data": (b"1.5\n# note\n2.5\n", False),
+    "inline-comment": (b"1.5 # note\n2.5\n", False),
+    "comma-column": (b"1.0, 10.0\n2.0, 20.0\n", False),
+    "space-column": (b"1.0 10.0\n2.0 20.0\n", False),
+    "one-row-two-columns": (b"# h\n1.0\t10.0\n", False),
+    "ragged-rows": (b"1.0\n2.0 3.0\n4.0\n", False),
+    "trailing-comma": (b"1.0,\n2.0,\n", False),
+    "underscore": (b"1_000\n2\n", False),
+    "overflow": (b"1e500\n-1e500\n2\n", True),
+    "blank-crlf-no-final-newline": (b"\r\n# h\r\n1.5\r\n\r\n2.5\r\n \t\r\n3.5", True),
+    "bad-token": (b"1.0\n2.0\nnot-a-number\n", False),
+    "only-comments": (b"# a\n\n# b\n", False),
+    "empty": (b"", False),
+}
+
+
+@pytest.mark.parametrize("content, plain", READ_CASES.values(), ids=READ_CASES.keys())
+def test_read_series_matches_the_line_loop(tmp_path, capsys, monkeypatch, content, plain):
+    """Values, warnings and errors equal the line loop's, whichever reader runs."""
+    src = tmp_path / "x.csv"
+    if content is None:
+        assert main(["generate", "fgn", "--hurst", "0.7", "--length", "1000",
+                     "-o", str(src)]) == 0
+        extremes = [5e-324, -0.0, 1.7976931348623157e308, -2.2250738585072014e-308]
+        with open(src, "a") as fh:
+            fh.write("\n".join(map(repr, extremes)) + "\n")
+    else:
+        src.write_bytes(content)
+
+    def outcome():
+        try:
+            result = read_series(str(src)).tobytes()
+        except InputError as e:
+            result = str(e)
+        return result, capsys.readouterr().err
+
+    read_lines, looped = cli._read_lines, []
+    monkeypatch.setattr(cli, "_read_lines",
+                        lambda fh, path: looped.append(path) or read_lines(fh, path))
+    fast = outcome()
+    assert looped == ([] if plain else [str(src)])
+    monkeypatch.setattr(cli, "_read_plain", lambda fh: None)
+    assert fast == outcome()
+
+
+def _traced_peak(run):
+    """Peak bytes that tracemalloc sees while run() works."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def cascade_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cascade") / "cascade.csv"
+    assert main(["generate", "cascade", "--a", "0.65", "--n-max", "17", "-o", str(path)]) == 0
+    return str(path)
+
+
+def test_read_series_memory_stays_near_the_values(cascade_csv):
+    """The C reader holds little beyond the 8N bytes it returns; the line
+    loop held a Python float and a line string per value (5.1 x 8N)."""
+    peak = _traced_peak(lambda: read_series(cascade_csv))
+    assert peak <= 1.5 * 8 * 2 ** 17
+
+
+def test_analyze_memory_is_set_by_the_analysis(cascade_csv, tmp_path):
+    """Reading the file stays below the analysis' own peak (5.3 x 8N when
+    the line loop read every file)."""
+    out = str(tmp_path / "r.json")
+    peak = _traced_peak(lambda: main(["analyze", cascade_csv, "-o", out]))
+    assert peak <= 4 * 8 * 2 ** 17
 
 
 # ------------------------------------------------------------- generate
