@@ -12,7 +12,6 @@ from .detrend import (
     BasisFunction,
     DetrendPolicy,
     default_basis_set,
-    fit_least_squares,
     polynomial_basis,
 )
 from .errors import InputError, NumericalError
@@ -35,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisConfig", "ResultDocument", "analyze_series",
     "BasisFunction", "DetrendPolicy",
-    "default_basis_set", "fit_least_squares", "polynomial_basis",
+    "default_basis_set", "polynomial_basis",
     "InputError", "NumericalError",
     "FluctuationSurface", "default_q_grid", "fluctuation_function",
     "CascadeSpec", "FbmSpec", "cascade_oracle",

@@ -17,8 +17,8 @@ UTF-8 (a byte-order mark is skipped), one value per line, '#' comments
 allowed; an optional second column is ignored with a warning.  Output is
 JSON by default (top-level keys: config, hurst, spectrum, delta_alpha,
 diagnostics) or a flat CSV table with --format csv.  Exit codes: 0 on
-success, 2 for input errors (an unwritable -o path among them), 3 for
-numerical failures.
+success, 2 for input errors (an unwritable -o path among them, refused
+before any work), 3 for numerical failures.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import os
 import sys
 
 import numpy as np
@@ -98,7 +99,8 @@ def _read_lines(fh, path: str) -> np.ndarray:
         text = line.strip()
         if not text or text.startswith("#"):
             continue
-        parts = text.replace(",", " ").split()
+        # a line of commas alone has no parts: it is its own bad token
+        parts = text.replace(",", " ").split() or [text]
         if len(parts) > 1 and not warned:
             print(f"warning: {path}:{lineno}: extra columns ignored", file=sys.stderr)
             warned = True
@@ -136,6 +138,21 @@ def _load_preprocessed(args) -> np.ndarray:
         if args.drop_overnight:
             x = drop_overnight_returns(x, args.session_length)
     return x
+
+
+def _check_output(output: str | None):
+    """Refuse an -o path that cannot be written before any work is done,
+    without creating or truncating it: a run that fails leaves it alone."""
+    if output is None or output == "-":
+        return
+    try:
+        try:
+            os.close(os.open(output, os.O_WRONLY))
+        except FileNotFoundError:
+            os.close(os.open(output, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+            os.remove(output)
+    except OSError as e:
+        raise InputError(f"cannot write {output}: {e}") from None
 
 
 def _emit(text: str, output: str | None):
@@ -323,6 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_output(args.output)
         return args.func(args)
     except InputError as e:
         print(f"error: input: {e}", file=sys.stderr)

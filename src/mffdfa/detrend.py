@@ -236,14 +236,6 @@ def polynomial_basis(m: int) -> BasisFunction:
     return BasisFunction(f"poly{m}", tuple((lambda t, j=j: t ** j) for j in range(m, 1, -1)))
 
 
-@dataclass(frozen=True)
-class FitResult:
-    fitted: np.ndarray
-    ss_res: float
-    r_squared: float
-    rank_deficient: bool = False
-
-
 class DesignFit:
     """Precomputed least-squares operator for one (basis, s, abscissa).
 
@@ -253,12 +245,11 @@ class DesignFit:
     rank-deficient designs keep the span of their numerical range and are
     flagged; so is a basis whose lead terms repeat t or 1.  W holds an
     orthonormal basis (s, rank - 2) of the part of the span orthogonal to
-    the constant and the line t.  ``frame`` is _linear_frame(s), for a
-    caller that shares one among the designs of a scale.
+    the constant and the line t.  ``frame`` is _linear_frame(s), which
+    _designs shares among the designs of a scale.
     """
 
-    def __init__(self, basis: BasisFunction, s: int, abscissa: str = "raw",
-                 frame: np.ndarray | None = None):
+    def __init__(self, basis: BasisFunction, s: int, abscissa: str, frame: np.ndarray):
         if s <= basis.parameter_count:
             raise InputError(f"segment length {s} not above the {basis.parameter_count} "
                              f"parameters of basis {basis.name!r}; raise s_min")
@@ -273,23 +264,9 @@ class DesignFit:
         U = U[:, :rank]
         # t and 1 are columns of A, so span(U) holds them: past the first two,
         # the left singular vectors of U^T [1, t] point away from both
-        V, _, _ = np.linalg.svd(U.T @ (_linear_frame(s) if frame is None else frame))
+        V, _, _ = np.linalg.svd(U.T @ frame)
         self.W = U @ V[:, 2:]
         self.rank_deficient = rank < basis.parameter_count
-
-
-def fit_least_squares(segment, basis: BasisFunction, abscissa: str = "raw") -> FitResult:
-    """Least-squares fit of one basis to one segment (a batch of one for the kernel)."""
-    y = np.asarray(segment, dtype=float)
-    ops, B = _designs(y.size, [basis], abscissa)
-    ss_res, ss_tot, floor, R = _kernel(y[None, :], ops, B)
-    _remove_span(R, ops[0].W)
-    return FitResult(
-        fitted=y - R[0],
-        ss_res=float(ss_res[0, 0]),
-        r_squared=float(_r_squared(ss_tot, floor, ss_res[0])[0]),
-        rank_deficient=ops[0].rank_deficient,
-    )
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from mffdfa import (
     default_q_grid,
     default_scale_grid,
     fit_hurst,
-    fit_least_squares,
     fluctuation_function,
     generate_cascade,
     legendre_transform,
@@ -163,7 +162,7 @@ def test_a4_cascade_h2_point(report, cascade_runs):
 # -------------------------------------------------------------------- A5
 
 
-def test_a5_ols_oracle(report):
+def test_a5_ols_oracle(fit_one, report):
     """1,000 random (segment, basis) pairs against exact normal equations."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(51)
@@ -173,11 +172,11 @@ def test_a5_ols_oracle(report):
         s = int(rng.integers(10, 121))
         basis = bases[int(rng.integers(len(bases)))]
         y = rng.standard_normal(s) * 10.0 ** rng.uniform(-2, 3)
-        fit = fit_least_squares(y, basis)
+        fit = fit_one(y, basis)
         ref = oracles.normal_equations_fitted(basis.design(s).T, y)
         rel = np.linalg.norm(fit.fitted - ref) / max(np.linalg.norm(ref), 1e-30)
         worst_rel = max(worst_rel, float(rel))
-        refit = fit_least_squares(fit.fitted, basis)
+        refit = fit_one(fit.fitted, basis)
         idem = refit.ss_res / max(float(np.sum(fit.fitted ** 2)), 1e-30)
         worst_idem = max(worst_idem, float(idem))
     elapsed = time.perf_counter() - t0

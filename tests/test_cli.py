@@ -99,15 +99,16 @@ def test_missing_file_exits_two(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content, line", [
-    (b"# h\n1.5\n\xff\xfe2\n", 3),
-    (b"# \xe9t\xe9\n1.5\n2.5\n", 1),
-], ids=["data-line", "header"])
-def test_undecodable_input_exits_two(tmp_path, capsys, content, line):
-    src = tmp_path / "latin1.csv"
+@pytest.mark.parametrize("content, line, message", [
+    (b"# h\n1.5\n\xff\xfe2\n", 3, "not UTF-8 text"),
+    (b"# \xe9t\xe9\n1.5\n2.5\n", 1, "not UTF-8 text"),
+    (b"1\n,\n", 2, "not a number: ','"),
+], ids=["data-line", "header", "commas-only"])
+def test_undecodable_input_exits_two(tmp_path, capsys, content, line, message):
+    src = tmp_path / "bad.csv"
     src.write_bytes(content)
     assert main(["analyze", str(src)]) == 2
-    assert capsys.readouterr().err == f"error: input: {src}:{line}: not UTF-8 text\n"
+    assert capsys.readouterr().err == f"error: input: {src}:{line}: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -116,13 +117,33 @@ def test_undecodable_input_exits_two(tmp_path, capsys, content, line):
     ["generate", "cascade", "--a", "0.65", "--n-max", "8"],
     ["oracle", "--a", "0.65"],
 ])
-def test_unwritable_output_exits_two(tmp_path, capsys, argv):
+def test_unwritable_output_exits_two(tmp_path, capsys, monkeypatch, argv):
     src = tmp_path / "x.csv"
     _write_series(src, np.random.default_rng(0).normal(size=1000))
+    # the path is refused before the input is read or any series is made
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the output was checked")
+    for name in ("read_series", "analyze_series", "generate_cascade", "cascade_oracle"):
+        monkeypatch.setattr(cli, name, no_work)
     out = tmp_path / "no" / "such" / "dir.json"
     assert main([a.format(src=src) for a in argv] + ["-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: input: cannot write {out}: ")
+
+
+@pytest.mark.parametrize("content, code", [
+    ("7.0\n" * 500, 3),
+    ("1.0\nnot-a-number\n", 2),
+], ids=["numerical", "input"])
+def test_failed_run_leaves_output_alone(tmp_path, capsys, content, code):
+    src = tmp_path / "x.csv"
+    src.write_text(content)
+    kept, absent = tmp_path / "kept.json", tmp_path / "absent.json"
+    kept.write_text("earlier result\n")
+    assert main(["analyze", str(src), "-o", str(kept)]) == code
+    assert main(["analyze", str(src), "-o", str(absent)]) == code
+    assert kept.read_text() == "earlier result\n"
+    assert not absent.exists()
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -272,6 +293,7 @@ READ_CASES = {
     "overflow": (b"1e500\n-1e500\n2\n", True),
     "blank-crlf-no-final-newline": (b"\r\n# h\r\n1.5\r\n\r\n2.5\r\n \t\r\n3.5", True),
     "bad-token": (b"1.0\n2.0\nnot-a-number\n", False),
+    "commas-only-line": (b"1\n,\n", False),
     "only-comments": (b"# a\n\n# b\n", False),
     "empty": (b"", False),
 }

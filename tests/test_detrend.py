@@ -9,7 +9,6 @@ from mffdfa import (
     InputError,
     default_basis_set,
     default_scale_grid,
-    fit_least_squares,
     generate_cascade,
     generate_fgn,
     CascadeSpec,
@@ -26,7 +25,6 @@ from mffdfa.detrend import (
     R2_ZERO_TOL,
     RESIDUAL_GUARD,
     BasisFunction,
-    DesignFit,
     _best_basis,
     _designs,
     _kernel,
@@ -47,108 +45,108 @@ def _t(n):
     return np.arange(1, n + 1, dtype=float)
 
 
-def test_exact_quadratic_recovers_coefficients():
+def test_exact_quadratic_recovers_coefficients(fit_one):
     t = _t(60)
     y = 3 * t * t + 2 * t + 1
-    fit = fit_least_squares(y, default_basis_set()[0])
+    fit = fit_one(y, default_basis_set()[0])
     np.testing.assert_allclose(fit.fitted, y, rtol=1e-10)
     assert fit.ss_res <= 1e-16 * np.sum(y ** 2)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
 
-def test_intercept_absorbs_constant_segment():
+def test_intercept_absorbs_constant_segment(fit_one):
     for basis in default_basis_set():
-        fit = fit_least_squares(np.full(40, 5.5), basis)
+        fit = fit_one(np.full(40, 5.5), basis)
         np.testing.assert_allclose(fit.fitted, 5.5, atol=1e-10)
         assert fit.ss_res <= 1e-18
 
 
-def test_cubic_matches_normal_equations_oracle(rng):
+def test_cubic_matches_normal_equations_oracle(fit_one, rng):
     y = rng.standard_normal(50)
     basis = default_basis_set()[2]
-    fit = fit_least_squares(y, basis)
+    fit = fit_one(y, basis)
     oracle = oracles.normal_equations_fitted(basis.design(50).T, y)
     assert np.linalg.norm(fit.fitted - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
 
-def test_rank_deficient_design_is_flagged():
+def test_rank_deficient_design_is_flagged(fit_one):
     from mffdfa import BasisFunction
     dup = BasisFunction("dup", (lambda t: 2 * t,))
-    fit = fit_least_squares(np.arange(20.0), dup)
+    fit = fit_one(np.arange(20.0), dup)
     assert fit.rank_deficient
     np.testing.assert_allclose(fit.fitted, np.arange(20.0), atol=1e-9)
 
 
-def test_lead_terms_inside_the_line_add_no_direction(rng):
+def test_lead_terms_inside_the_line_add_no_direction(fit_one, rng):
     from mffdfa import BasisFunction
     # a rank-deficient design whose span is exactly {1, t}
     dup = BasisFunction("dup", (lambda t: 2 * t,))
-    fit = DesignFit(dup, 20)
-    assert fit.rank_deficient and fit.W.shape == (20, 0)
+    (op,), _ = _designs(20, [dup], "raw")
+    assert op.rank_deficient and op.W.shape == (20, 0)
     # a basis that lists t and 1 among its lead terms fits as the one that
     # does not, and is flagged
     listed = BasisFunction("listed", (lambda t: t * t, lambda t: t, np.ones_like))
     y = rng.standard_normal(30)
-    fit_listed = fit_least_squares(y, listed)
-    fit_lead = fit_least_squares(y, default_basis_set()[0])
+    fit_listed = fit_one(y, listed)
+    fit_lead = fit_one(y, default_basis_set()[0])
     assert fit_listed.rank_deficient and not fit_lead.rank_deficient
-    assert DesignFit(listed, 30).W.shape == (30, 1)
+    assert _designs(30, [listed], "raw")[0][0].W.shape == (30, 1)
     np.testing.assert_allclose(fit_listed.fitted, fit_lead.fitted, atol=1e-9)
 
 
-def test_fit_rejects_short_segment():
+def test_fit_rejects_short_segment(fit_one):
     with pytest.raises(InputError):
-        fit_least_squares(np.ones(2), default_basis_set()[0])
+        fit_one(np.ones(2), default_basis_set()[0])
     # s == parameter_count fits exactly: no variance about the trend is left
     for basis in (default_basis_set()[0], polynomial_basis(1), polynomial_basis(10)):
         with pytest.raises(InputError, match="not above"):
-            fit_least_squares(np.arange(basis.parameter_count) ** 1.5, basis)
+            fit_one(np.arange(basis.parameter_count) ** 1.5, basis)
 
 
-def _select(segment):
+def _select(fit_one, segment):
     """The batched selection over the default Q on a one-row batch:
     (chosen index, that basis' fit)."""
     _, (chosen,), _ = batch_segment_variances(np.asarray(segment)[None, :], DetrendPolicy())
-    return int(chosen), fit_least_squares(segment, default_basis_set()[chosen])
+    return int(chosen), fit_one(segment, default_basis_set()[chosen])
 
 
-def test_r2_perfect_fit_is_one(rng):
+def test_r2_perfect_fit_is_one(fit_one, rng):
     c0, c1, c2 = rng.standard_normal(3)
     t = _t(30)
     y = c2 * t * t + c1 * t + c0
-    fit = fit_least_squares(y, default_basis_set()[0])
+    fit = fit_one(y, default_basis_set()[0])
     assert fit.r_squared == 1.0
     assert fit.r_squared == pytest.approx(oracles.r_squared_direct(y, fit.fitted), abs=1e-12)
 
 
-def test_r2_of_mean_prediction_is_zero(rng):
+def test_r2_of_mean_prediction_is_zero(fit_one, rng):
     # scatter with nothing left in the quadratic's span but a level: the
     # fit predicts the mean
     basis = default_basis_set()[0]
     z = rng.standard_normal(25)
-    y = z - fit_least_squares(z, basis).fitted + 1.5
-    fit = fit_least_squares(y, basis)
+    y = z - fit_one(z, basis).fitted + 1.5
+    fit = fit_one(y, basis)
     np.testing.assert_allclose(fit.fitted, y.mean(), rtol=1e-12)
     assert fit.r_squared == pytest.approx(0.0, abs=1e-12)
     assert fit.r_squared == pytest.approx(oracles.r_squared_direct(y, fit.fitted), abs=1e-12)
 
 
-def test_r2_matches_direct_formula(rng):
+def test_r2_matches_direct_formula(fit_one, rng):
     y = rng.standard_normal(40)
-    fit = fit_least_squares(y, default_basis_set()[0])
+    fit = fit_one(y, default_basis_set()[0])
     expected = oracles.r_squared_direct(y, fit.fitted)
     assert fit.r_squared == pytest.approx(expected, abs=1e-12)
 
 
-def test_select_cubic_member_of_q():
+def test_select_cubic_member_of_q(fit_one):
     t = _t(80)
-    idx, fit = _select(5 * t ** 3 - t + 2)
+    idx, fit = _select(fit_one, 5 * t ** 3 - t + 2)
     assert idx == 2
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
 
-def test_select_tie_break_on_constant_segment():
-    idx, fit = _select(np.full(30, 2.25))
+def test_select_tie_break_on_constant_segment(fit_one):
+    idx, fit = _select(fit_one, np.full(30, 2.25))
     assert idx == 0
     assert fit.ss_res <= 1e-18
 
@@ -246,7 +244,7 @@ def test_designs_hold_each_direction_once():
     assert B.shape == (s, 5)
     for basis, op in zip(bases, ops):
         assert np.shares_memory(op.W, B)
-        np.testing.assert_array_equal(op.W, DesignFit(basis, s).W)
+        np.testing.assert_array_equal(op.W, _designs(s, [basis], "raw")[0][0].W)
 
 
 def test_default_basis_set_shape():
@@ -270,17 +268,17 @@ def test_polynomial_basis_linear():
     assert basis.parameter_count == 2
 
 
-def test_polynomial_basis_m2_spans_quadratic(rng):
+def test_polynomial_basis_m2_spans_quadratic(fit_one, rng):
     y = rng.standard_normal(45)
-    fit_a = fit_least_squares(y, polynomial_basis(2))
-    fit_b = fit_least_squares(y, default_basis_set()[0])
+    fit_a = fit_one(y, polynomial_basis(2))
+    fit_b = fit_one(y, default_basis_set()[0])
     np.testing.assert_allclose(fit_a.fitted, fit_b.fitted, atol=1e-9)
 
 
-def test_polynomial_basis_m10_against_exact_oracle(rng):
+def test_polynomial_basis_m10_against_exact_oracle(fit_one, rng):
     y = rng.standard_normal(30)
     basis = polynomial_basis(10)
-    fit = fit_least_squares(y, basis)
+    fit = fit_one(y, basis)
     oracle = oracles.normal_equations_fitted(basis.design(30).T, y, dps=60)
     assert np.linalg.norm(fit.fitted - oracle) <= 1e-6 * np.linalg.norm(oracle)
 
@@ -293,26 +291,26 @@ def test_polynomial_basis_rejects_m0():
 
 
 @given(segments)
-def test_projection_idempotence(y):
-    fit = fit_least_squares(y, default_basis_set()[2])
-    refit = fit_least_squares(fit.fitted, default_basis_set()[2])
+def test_projection_idempotence(fit_one, y):
+    fit = fit_one(y, default_basis_set()[2])
+    refit = fit_one(fit.fitted, default_basis_set()[2])
     assert refit.ss_res <= 1e-12 * max(np.sum(fit.fitted ** 2), 1e-30)
 
 
 @given(segments, st.floats(-50, 50), st.floats(-50, 50), st.floats(-50, 50))
-def test_span_invariance(y, c2, c1, c0):
+def test_span_invariance(fit_one, y, c2, c1, c0):
     t = _t(y.size)
     basis = default_basis_set()[0]
-    base = fit_least_squares(y, basis).ss_res
-    shifted = fit_least_squares(y + c2 * t * t + c1 * t + c0, basis).ss_res
+    base = fit_one(y, basis).ss_res
+    shifted = fit_one(y + c2 * t * t + c1 * t + c0, basis).ss_res
     assert shifted == pytest.approx(base, rel=1e-9, abs=1e-6 * max(base, 1.0))
 
 
 @given(segments, st.floats(0.01, 1e3))
 @settings(max_examples=60)
-def test_selection_scale_invariance(y, c):
-    idx_a, fit_a = _select(y)
-    idx_b, fit_b = _select(c * y)
+def test_selection_scale_invariance(fit_one, y, c):
+    idx_a, fit_a = _select(fit_one, y)
+    idx_b, fit_b = _select(fit_one, c * y)
     assert idx_a == idx_b
     assert fit_a.r_squared == pytest.approx(fit_b.r_squared, abs=1e-10)
 
@@ -344,14 +342,14 @@ def test_row_alone_agrees_with_row_in_batch(batch):
         assert alone[0] == pytest.approx(var, rel=1e-12, abs=rounding)
 
 
-def test_column_scaling_equivalence(rng):
+def test_column_scaling_equivalence(fit_one, rng):
     """Pre-scaling a design column must not move the fitted values."""
     from mffdfa import BasisFunction
     y = rng.standard_normal(70)
     plain = BasisFunction("plain", (lambda t: t ** 3,))
     scaled = BasisFunction("scaled", (lambda t: 1e-6 * t ** 3,))
-    fit_a = fit_least_squares(y, plain)
-    fit_b = fit_least_squares(y, scaled)
+    fit_a = fit_one(y, plain)
+    fit_b = fit_one(y, scaled)
     np.testing.assert_allclose(fit_a.fitted, fit_b.fitted, rtol=1e-9, atol=1e-9)
 
 

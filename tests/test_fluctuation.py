@@ -16,7 +16,6 @@ from mffdfa import (
     default_q_grid,
     default_scale_grid,
     fit_hurst,
-    fit_least_squares,
     fluctuation_function,
     generate_cascade,
     polynomial_basis,
@@ -56,35 +55,35 @@ def test_q_grid_caps_node_count():
         default_q_grid(0, 10_000, 1)
 
 
-def _variances_vs_oracle(segments, m):
+def _variances_vs_oracle(fit_one, segments, m):
     """Batched F^2 per row, and the direct sum over one fit per row."""
     variances, chosen, _ = batch_segment_variances(segments, _poly(m))
     assert np.all(chosen == 0)
-    direct = [oracles.segment_variance_direct(seg, fit_least_squares(
+    direct = [oracles.segment_variance_direct(seg, fit_one(
         seg, polynomial_basis(m)).fitted) for seg in segments]
     return variances, np.asarray(direct)
 
 
-def test_segment_variance_perfect_detrend():
+def test_segment_variance_perfect_detrend(fit_one):
     t = np.arange(1.0, 9.0)
     segments = np.stack([t, 3 * t * t - t + 5, -2.5 * t + 1])
-    variances, direct = _variances_vs_oracle(segments, 2)
+    variances, direct = _variances_vs_oracle(fit_one, segments, 2)
     assert np.all(variances <= 1e-28 * np.mean(segments ** 2, axis=1))
     assert np.all(direct <= 1e-28 * np.mean(segments ** 2, axis=1))
 
 
-def test_segment_variance_hand_case():
+def test_segment_variance_hand_case(fit_one):
     # the line through (1, 1), (2, -1), (3, 1), (4, -1) is 1 - 0.4 t, which
     # leaves residuals (0.4, -1.2, 1.2, -0.4): F^2 = 3.2 / 4
-    variances, direct = _variances_vs_oracle(np.array([[1.0, -1.0, 1.0, -1.0]]), 1)
+    variances, direct = _variances_vs_oracle(fit_one, np.array([[1.0, -1.0, 1.0, -1.0]]), 1)
     assert variances[0] == pytest.approx(0.8, rel=1e-12)
     assert direct[0] == pytest.approx(0.8, rel=1e-12)
 
 
-def test_segment_variance_matches_direct_sum(rng):
+def test_segment_variance_matches_direct_sum(fit_one, rng):
     segments = rng.standard_normal((5, 64))
     for m in (1, 2, 3):
-        variances, direct = _variances_vs_oracle(segments, m)
+        variances, direct = _variances_vs_oracle(fit_one, segments, m)
         np.testing.assert_allclose(variances, direct, rtol=1e-12)
 
 
