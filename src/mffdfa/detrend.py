@@ -8,17 +8,19 @@ Every candidate model is linear in its parameters: its lead terms phi_j
 plus the line b t + c, which ``BasisFunction`` adds to every design itself.
 So one least-squares kernel serves every candidate at once:
 
-* ``DesignFit`` takes the SVD of a basis' column-scaled design once per
-  (basis, s, abscissa) -- never raw normal equations, since a raw t^10
-  column at s ~ 10^4 spans ~40 orders of magnitude -- and keeps W, an
-  orthonormal basis of the part of the span orthogonal to {1, t}: one
-  column per candidate of Q, m - 1 for a polynomial of order m.
+* One ``DesignFit`` per (s, abscissa) serves every segment of the scale.
+  It takes the SVD of each basis' column-scaled design -- never raw normal
+  equations, since a raw t^10 column at s ~ 10^4 spans ~40 orders of
+  magnitude -- and keeps W_b, an orthonormal basis of the part of the span
+  orthogonal to {1, t}: one column per candidate of Q, m - 1 for a
+  polynomial of order m.  It holds each direction once, side by side in
+  B = [1/sqrt(s), e_t, W_1, W_2, ...]: the constant, the line, every W_b.
 * Each segment is first shifted by its own middle sample, Z = Y - y_mid.
   That is exact, since every design holds the constant, and a constant from
   inside the segment's range takes its level out of the rounding: errors
   then scale with the segment's spread, not with its offset.  Unlike the
   mean, the middle sample needs no pass along the row.
-* One product C = [1/sqrt(s), e_t, W_1, W_2, ...]^T Z serves all bases.
+* One product C = B^T Z serves all bases.
   C_1 carries the offset left in Z and C_e the line; one rank-2 update
   removes both, R = Z - [1/sqrt(s), e_t] [C_1, C_e]^T.  ss_tot = |R|^2 +
   C_e^2, a sum with no cancellation, and ss_res of basis b is |R|^2 -
@@ -35,8 +37,6 @@ So one least-squares kernel serves every candidate at once:
   to the winners' F^2 before the next ones are taken: the only arrays of
   the batch's length are F^2 and the winning index, and the segments can
   be a strided view.
-* A scale builds the linear frame once and holds its directions once: each
-  design's W is a view into B.
 
 Fitted values are invariant to the column scaling, so results don't depend
 on that internal convention.
@@ -45,6 +45,7 @@ on that internal convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,15 +77,6 @@ ABSCISSAS = ("raw", "normalized")
 M_MAX = 10
 
 
-def _linear_frame(s: int) -> np.ndarray:
-    """Orthonormal basis (s, 2) of {1, t}: the constant, then the centred line e_t."""
-    t = np.arange(s) - (s - 1) / 2.0
-    E = np.empty((s, 2))
-    E[:, 0] = 1.0 / np.sqrt(s)
-    E[:, 1] = t / np.sqrt(t @ t)
-    return E
-
-
 def _noise_floor(Y: np.ndarray) -> np.ndarray:
     """Per row of Y, the sum-of-squares level indistinguishable from rounding
     on a constant segment of that row's magnitude."""
@@ -113,27 +105,6 @@ def _best_basis(r2: np.ndarray) -> np.ndarray:
     return np.argmax(r2 >= r2.max(axis=0) - TIE_EPS, axis=0)
 
 
-def _designs(s: int, bases: Sequence["BasisFunction"], abscissa: str):
-    """The DesignFits of one scale and their directions B.
-
-    B = [1/sqrt(s), e_t, W_1, W_2, ...] is the constant, the line, then every
-    design's own directions, (s, 2 + sum w).  The linear frame is built once
-    for all designs, and each design's W becomes a view into B, so the scale
-    holds each direction once.
-    """
-    frame = _linear_frame(s)
-    ops = [DesignFit(b, s, abscissa, frame) for b in bases]
-    B = np.empty((s, 2 + sum(op.W.shape[1] for op in ops)))
-    B[:, :2] = frame
-    col = 2
-    for op in ops:
-        w = op.W.shape[1]
-        B[:, col:col + w] = op.W
-        op.W = B[:, col:col + w]
-        col += w
-    return ops, B
-
-
 def _remove_span(R: np.ndarray, W: np.ndarray) -> None:
     """Subtract from the rows of R, in place, their projection on the
     orthonormal columns of W.
@@ -146,32 +117,32 @@ def _remove_span(R: np.ndarray, W: np.ndarray) -> None:
     R -= (R @ W) @ W.T
 
 
-def _kernel(Y: np.ndarray, ops: Sequence["DesignFit"], B: np.ndarray):
-    """The detrending kernel, for the rows of Y (shape (M, s)) and every design.
+def _kernel(Y: np.ndarray, design: DesignFit):
+    """The detrending kernel, for the rows of Y (shape (M, s)) and every basis
+    of the scale's design.
 
-    B comes from _designs with ops.  Returns (ss_res, ss_tot, floor, R): residual
-    sums of squares with shape (len(ops), M), total sums of squares about
-    the row means, noise floors and the linear residuals R (M, s).  A floor
-    is the row's own (_noise_floor) where ss_tot does not clear it by a
-    margin, and elsewhere an upper bound on it, which puts the row in the
-    same branch of _r_squared.
+    Returns (ss_res, ss_tot, floor, R): residual sums of squares with shape
+    (number of bases, M), total sums of squares about the row means, noise
+    floors and the linear residuals R (M, s).  A floor is the row's own
+    (_noise_floor) where ss_tot does not clear it by a margin, and elsewhere
+    an upper bound on it, which puts the row in the same branch of
+    _r_squared.
     """
+    B = design.B
     s = Y.shape[1]
     mid = Y[:, s // 2]
     R = Y - mid[:, None]            # Z, until the rank-2 update makes it R
     C = R @ B
     R -= C[:, :2] @ B[:, :2].T
     rr = np.einsum("ij,ij->i", R, R)
-    ss_res = np.empty((len(ops), Y.shape[0]))
-    col = 2
-    for b, op in enumerate(ops):
-        Cb = C[:, col:col + op.W.shape[1]]
-        col += op.W.shape[1]
+    ss_res = np.empty((len(design.spans), Y.shape[0]))
+    for b, cols in enumerate(design.spans):
+        Cb = C[:, cols]
         ss_res[b] = rr - np.einsum("ij,ij->i", Cb, Cb)
         low = np.flatnonzero(ss_res[b] < RESIDUAL_GUARD * rr)
         if low.size:
             resid = R[low]
-            _remove_span(resid, op.W)
+            _remove_span(resid, B[:, cols])
             ss_res[b, low] = np.einsum("ij,ij->i", resid, resid)
     ss_tot = rr + C[:, 1] ** 2
     # |y_t| <= |y_mid| + |Z| with |Z|^2 = ss_tot + C_1^2; the factor 2 covers
@@ -237,36 +208,47 @@ def polynomial_basis(m: int) -> BasisFunction:
 
 
 class DesignFit:
-    """Precomputed least-squares operator for one (basis, s, abscissa).
+    """The least-squares directions of one scale (s, abscissa), for every basis.
 
-    Shares a single SVD across all segments of a scale, which must be longer
-    than the basis has parameters: an exact fit leaves rounding noise as F^2.
-    Rank decisions use the usual max(shape) * eps * sigma_max cutoff;
-    rank-deficient designs keep the span of their numerical range and are
-    flagged; so is a basis whose lead terms repeat t or 1.  W holds an
-    orthonormal basis (s, rank - 2) of the part of the span orthogonal to
-    the constant and the line t.  ``frame`` is _linear_frame(s), which
-    _designs shares among the designs of a scale.
+    B = [1/sqrt(s), e_t, W_1, W_2, ...] holds the constant, the centred line
+    e_t, then each basis' W: an orthonormal basis (s, rank - 2) of the part
+    of its span orthogonal to both.  ``spans[b]`` is the slice of B's
+    columns that holds W_b.  All segments of the scale share B, and every
+    segment must be longer than each basis has parameters: an exact fit
+    leaves rounding noise as F^2.  The rank of a basis' column-scaled design
+    is decided on its SVD by the usual max(shape) * eps * sigma_max cutoff.
+    A rank-deficient design keeps the span of its numerical range and is
+    flagged in ``rank_deficient``; so is a basis whose lead terms repeat t
+    or 1.
     """
 
-    def __init__(self, basis: BasisFunction, s: int, abscissa: str, frame: np.ndarray):
-        if s <= basis.parameter_count:
-            raise InputError(f"segment length {s} not above the {basis.parameter_count} "
-                             f"parameters of basis {basis.name!r}; raise s_min")
-        A = basis.design(s, abscissa)
-        norms = np.sqrt(np.einsum("ij,ij->j", A, A))
-        norms[norms == 0.0] = 1.0
-        A /= norms
-        U, sv, _ = np.linalg.svd(A, full_matrices=False)
-        rcond = max(A.shape) * np.finfo(float).eps
-        del A                       # only U is needed from here on
-        rank = int(np.count_nonzero(sv > rcond * sv[0]))
-        U = U[:, :rank]
-        # t and 1 are columns of A, so span(U) holds them: past the first two,
-        # the left singular vectors of U^T [1, t] point away from both
-        V, _, _ = np.linalg.svd(U.T @ frame)
-        self.W = U @ V[:, 2:]
-        self.rank_deficient = rank < basis.parameter_count
+    def __init__(self, s: int, bases: Sequence[BasisFunction], abscissa: str):
+        t = np.arange(s) - (s - 1) / 2.0
+        frame = np.column_stack([np.full(s, 1.0 / np.sqrt(s)), t / np.sqrt(t @ t)])
+        del t                       # a column of its own in the peak, if kept
+        Ws, rank_deficient = [], []
+        for basis in bases:
+            if s <= basis.parameter_count:
+                raise InputError(f"segment length {s} not above the {basis.parameter_count} "
+                                 f"parameters of basis {basis.name!r}; raise s_min")
+            A = basis.design(s, abscissa)
+            norms = np.sqrt(np.einsum("ij,ij->j", A, A))
+            norms[norms == 0.0] = 1.0
+            A /= norms
+            U, sv, _ = np.linalg.svd(A, full_matrices=False)
+            rank = int(np.count_nonzero(sv > max(A.shape) * np.finfo(float).eps * sv[0]))
+            del A                   # only U is needed from here on
+            U = U[:, :rank]
+            # t and 1 are columns of A, so span(U) holds them: past the first
+            # two, the left singular vectors of U^T [1, t] point away from both
+            V, _, _ = np.linalg.svd(U.T @ frame)
+            Ws.append(U @ V[:, 2:])
+            rank_deficient.append(rank < basis.parameter_count)
+            del U                   # three columns more, if held into the next design
+        self.B = np.concatenate([frame, *Ws], axis=1)
+        ends = list(accumulate((W.shape[1] for W in Ws), initial=2))
+        self.spans = tuple(map(slice, ends[:-1], ends[1:]))
+        self.rank_deficient = tuple(rank_deficient)
 
 
 @dataclass(frozen=True)
@@ -293,11 +275,11 @@ def batch_segment_variances(segments: np.ndarray, policy: DetrendPolicy):
 
     Returns (variances, chosen, rank_deficient): chosen holds the 0-based
     winning basis index per segment, and rank_deficient flags each of the
-    policy's designs.  All segments share one design per basis, so the SVD
-    cost is paid once per (scale, basis).
+    policy's bases.  All segments share the scale's one DesignFit, so its
+    SVDs are paid once per scale.
     """
     M, s = segments.shape
-    ops, B = _designs(s, policy.bases, policy.abscissa)
+    design = DesignFit(s, policy.bases, policy.abscissa)
     fsq, chosen = np.empty(M), np.empty(M, dtype=np.intp)
     # two rows at least: a one-row block turns both products into
     # matrix-vector passes over all of B
@@ -308,10 +290,10 @@ def batch_segment_variances(segments: np.ndarray, policy: DetrendPolicy):
     group = rows * max(1, BLOCK_VALUES // (4 * rows))
     for g in range(0, M, group):
         Y = segments[g:g + group]
-        sums = [_kernel(Y[i:i + rows], ops, B)[:3] for i in range(0, len(Y), rows)]
+        sums = [_kernel(Y[i:i + rows], design)[:3] for i in range(0, len(Y), rows)]
         ss_res, ss_tot, floor = (np.concatenate(part, axis=-1) for part in zip(*sums))
         best = _best_basis(_r_squared(ss_tot, floor, ss_res))
         chosen[g:g + group] = best
         fsq[g:g + group] = ss_res[best, np.arange(best.size)]
     fsq /= s
-    return fsq, chosen, tuple(op.rank_deficient for op in ops)
+    return fsq, chosen, design.rank_deficient

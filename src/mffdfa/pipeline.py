@@ -65,6 +65,8 @@ class AnalysisConfig:
         if self.abscissa not in ABSCISSAS:
             raise InputError(f"abscissa must be one of {ABSCISSAS}, got {self.abscissa!r}")
         check_order(self.m)
+        if self.k < 1:
+            raise InputError(f"overlap factor k={self.k} must be at least 1")
         if self.fit_lo is not None and self.fit_hi is not None and self.fit_lo > self.fit_hi:
             raise InputError(f"fit window [{self.fit_lo}, {self.fit_hi}] is inverted; "
                              "need fit_lo <= fit_hi")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from mffdfa import FbmSpec, generate_fgn
-from mffdfa.detrend import _designs, _kernel, _r_squared, _remove_span
+from mffdfa.detrend import DesignFit, _kernel, _r_squared, _remove_span
 
 # Hypothesis' pytest plugin imports this module when it reports a failing
 # example; it pulls in libcst, whose import raises a DeprecationWarning that
@@ -41,14 +41,14 @@ def fgn_bank():
 
 def _fit_one(segment, basis, abscissa="raw"):
     y = np.asarray(segment, dtype=float)
-    ops, B = _designs(y.size, [basis], abscissa)
-    ss_res, ss_tot, floor, R = _kernel(y[None, :], ops, B)
-    _remove_span(R, ops[0].W)
+    design = DesignFit(y.size, [basis], abscissa)
+    ss_res, ss_tot, floor, R = _kernel(y[None, :], design)
+    _remove_span(R, design.B[:, design.spans[0]])
     return SimpleNamespace(
         fitted=y - R[0],
         ss_res=float(ss_res[0, 0]),
         r_squared=float(_r_squared(ss_tot, floor, ss_res[0])[0]),
-        rank_deficient=ops[0].rank_deficient,
+        rank_deficient=design.rank_deficient[0],
     )
 
 

@@ -162,6 +162,8 @@ def test_failed_run_leaves_output_alone(tmp_path, capsys, content, code):
     (["--q-min", "-1", "--q-max", "1", "--q-step", "2"], "q grid of 2 nodes"),
     (["--n-scales", "3"], "the grid holds 3 distinct scales"),
     (["--s-min", "1"], "raise s_min"),
+    (["--k", "0"], "k=0"),
+    (["--method", "mfdfa", "--k", "0"], "k=0"),
 ])
 def test_bad_analysis_setting_exits_two(tmp_path, capsys, flags, message):
     src = tmp_path / "x.csv"
@@ -227,6 +229,30 @@ def test_module_entry_point_runs_without_warning():
         [sys.executable, "-W", "error", "-c", "import mffdfa; print(mffdfa.cli.main.__name__)"],
         capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "main\n", "")
+
+
+_ANALYSES_AFTER_IMPORT = """
+import sys
+import mffdfa, mffdfa.cli
+from mffdfa import AnalysisConfig, FbmSpec, analyze_series, generate_fgn
+x = generate_fgn(FbmSpec(hurst=0.7, length=10_000, seed=0))
+before = set(sys.modules)
+for config in (AnalysisConfig(), AnalysisConfig(method="mfdfa", m=3),
+               AnalysisConfig(abscissa="normalized")):
+    doc = analyze_series(x, config)
+    doc.to_json(), doc.to_csv()
+print(sorted(set(sys.modules) - before))
+"""
+
+
+def test_analysis_imports_nothing_lazily():
+    """Every module an analysis needs is loaded by importing the package and
+    its CLI: one imported on first use would count as analysis memory and
+    time wherever a run is measured from its first analysis on."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mffdfa.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _ANALYSES_AFTER_IMPORT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 # ----------------------------------------------------------- input parsing

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,8 +27,8 @@ from mffdfa.detrend import (
     R2_ZERO_TOL,
     RESIDUAL_GUARD,
     BasisFunction,
+    DesignFit,
     _best_basis,
-    _designs,
     _kernel,
     _noise_floor,
     _r_squared,
@@ -81,8 +83,8 @@ def test_lead_terms_inside_the_line_add_no_direction(fit_one, rng):
     from mffdfa import BasisFunction
     # a rank-deficient design whose span is exactly {1, t}
     dup = BasisFunction("dup", (lambda t: 2 * t,))
-    (op,), _ = _designs(20, [dup], "raw")
-    assert op.rank_deficient and op.W.shape == (20, 0)
+    design = DesignFit(20, [dup], "raw")
+    assert design.rank_deficient == (True,) and design.B.shape == (20, 2)
     # a basis that lists t and 1 among its lead terms fits as the one that
     # does not, and is flagged
     listed = BasisFunction("listed", (lambda t: t * t, lambda t: t, np.ones_like))
@@ -90,7 +92,7 @@ def test_lead_terms_inside_the_line_add_no_direction(fit_one, rng):
     fit_listed = fit_one(y, listed)
     fit_lead = fit_one(y, default_basis_set()[0])
     assert fit_listed.rank_deficient and not fit_lead.rank_deficient
-    assert _designs(30, [listed], "raw")[0][0].W.shape == (30, 1)
+    assert DesignFit(30, [listed], "raw").B.shape == (30, 3)
     np.testing.assert_allclose(fit_listed.fitted, fit_lead.fitted, atol=1e-9)
 
 
@@ -184,7 +186,7 @@ def test_bounded_floor_selects_as_the_row_floor(offset):
     assert np.all(np.argmax(np.abs(Y), axis=1) == s - 1)
 
     policy = DetrendPolicy()
-    ss_res, ss_tot, _, _ = _kernel(Y, *_designs(s, policy.bases, policy.abscissa))
+    ss_res, ss_tot, _, _ = _kernel(Y, DesignFit(s, policy.bases, policy.abscissa))
     row_floor = _noise_floor(Y)
     above = ss_tot > row_floor
     assert 0.2 < above.mean() < 0.8
@@ -220,8 +222,8 @@ def test_blocks_select_as_the_whole_batch():
     policy = DetrendPolicy(tuple(default_basis_set())
                            + (BasisFunction("line-again", (lambda t: 2.0 * t,)),))
 
-    ops, B = _designs(s, policy.bases, policy.abscissa)
-    sums = [_kernel(Y[i:i + rows], ops, B)[:3] for i in range(0, len(Y), rows)]
+    design = DesignFit(s, policy.bases, policy.abscissa)
+    sums = [_kernel(Y[i:i + rows], design)[:3] for i in range(0, len(Y), rows)]
     ss_res, ss_tot, floor = (np.concatenate(part, axis=-1) for part in zip(*sums))
     # the last basis adds no direction, so its ss_res is the linear residual
     # the guard compares with; the cubic rows fall below that share
@@ -237,14 +239,37 @@ def test_blocks_select_as_the_whole_batch():
 
 
 def test_designs_hold_each_direction_once():
-    """Each design's W is a view into the scale's B, equal to the W it builds alone."""
+    """A scale's B holds the linear frame, then each basis' directions in
+    Q's order, equal to the ones a design of that basis alone holds."""
     s = 50
     bases = default_basis_set()
-    ops, B = _designs(s, bases, "raw")
-    assert B.shape == (s, 5)
-    for basis, op in zip(bases, ops):
-        assert np.shares_memory(op.W, B)
-        np.testing.assert_array_equal(op.W, _designs(s, [basis], "raw")[0][0].W)
+    design = DesignFit(s, bases, "raw")
+    assert design.B.shape == (s, 5) and design.B.flags.c_contiguous
+    assert design.spans == (slice(2, 3), slice(3, 4), slice(4, 5))
+    assert design.rank_deficient == (False, False, False)
+    for basis, cols in zip(bases, design.spans):
+        alone = DesignFit(s, [basis], "raw")
+        np.testing.assert_array_equal(design.B[:, :2], alone.B[:, :2])
+        np.testing.assert_array_equal(design.B[:, cols], alone.B[:, alone.spans[0]])
+
+
+def test_design_memory_is_its_five_columns():
+    """Building one scale's design under the default Q peaks at B next to
+    the frame and the three W it is assembled from, 10 columns of s values,
+    and the design keeps B alone.  The centred abscissa kept alive, or a
+    basis' U held into the next basis' design, would add one column or three."""
+    s = 2 ** 17
+    bases = default_basis_set()
+    tracemalloc.start()
+    try:
+        design = DesignFit(s, bases, "raw")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.5 * 8 * s
+    assert design.B.shape == (s, 5) and design.B.base is None
+    assert [name for name, value in vars(design).items()
+            if isinstance(value, np.ndarray)] == ["B"]
 
 
 def test_default_basis_set_shape():
