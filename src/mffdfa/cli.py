@@ -12,7 +12,9 @@ Subcommands:
 * ``oracle``   -- tabulate the analytic cascade spectrum.
 
 Analysis flags and a ``--config`` JSON file (flags win) set AnalysisConfig
-fields, and AnalysisConfig checks them.  Input files are plain CSV in
+fields; it checks them, and sweep-m its order range, before any input is
+read.  ``--session-length L`` needs ``--log-returns`` and drops the returns
+that cross a boundary of L-price sessions.  Input files are plain CSV in
 UTF-8 (a byte-order mark is skipped), one value per line, '#' comments
 allowed; an optional second column is ignored with a warning.  Output is
 JSON by default (top-level keys: config, hurst, spectrum, delta_alpha,
@@ -32,7 +34,7 @@ import sys
 
 import numpy as np
 
-from .detrend import ABSCISSAS, M_MAX, check_order
+from .detrend import ABSCISSAS, M_MAX
 from .errors import InputError, NumericalError
 from .fluctuation import default_q_grid
 from .generators import CascadeSpec, FbmSpec, cascade_oracle, generate_cascade, generate_fgn
@@ -126,16 +128,12 @@ def drop_overnight_returns(returns: np.ndarray, session_length: int) -> np.ndarr
 
 
 def _load_preprocessed(args) -> np.ndarray:
-    if args.drop_overnight and not args.log_returns:
-        raise InputError("--drop-overnight only makes sense with --log-returns")
-    if args.session_length is not None and not args.drop_overnight:
-        raise InputError("--session-length only makes sense with --drop-overnight")
-    if args.drop_overnight and args.session_length is None:
-        raise InputError("--drop-overnight requires --session-length")
+    if args.session_length is not None and not args.log_returns:
+        raise InputError("--session-length only makes sense with --log-returns")
     x = read_series(args.input)
     if args.log_returns:
         x = log_returns(x)
-        if args.drop_overnight:
+        if args.session_length is not None:
             x = drop_overnight_returns(x, args.session_length)
     return x
 
@@ -167,8 +165,8 @@ def _emit(text: str, output: str | None):
 
 
 def cmd_analyze(args) -> int:
-    x = _load_preprocessed(args)
-    doc = analyze_series(x, _config_from_args(args))
+    config = _config_from_args(args)
+    doc = analyze_series(_load_preprocessed(args), config)
     _emit(doc.to_csv() if args.format == "csv" else doc.to_json() + "\n", args.output)
     return 0
 
@@ -193,24 +191,24 @@ def cmd_generate(args) -> int:
 
 
 def cmd_sweep_m(args) -> int:
-    x = _load_preprocessed(args)
     base = _config_from_args(args)
-    check_order(args.m_min)
-    check_order(args.m_max)
     if args.m_min > args.m_max:
         raise InputError(f"m sweep range [{args.m_min}, {args.m_max}] is inverted; "
                          "need m_min <= m_max")
+    # each config checks its own m
+    configs = [dataclasses.replace(base, method=method, m=m)
+               for m in range(args.m_min, args.m_max + 1)
+               for method in ("mfdfa", "mfdfa_overlap")]
+    x = _load_preprocessed(args)
     rows = []
-    for m in range(args.m_min, args.m_max + 1):
-        for method in ("mfdfa", "mfdfa_overlap"):
-            cfg = dataclasses.replace(base, method=method, m=m)
-            doc = analyze_series(x, cfg)
-            i2 = int(np.argmin(np.abs(doc.hurst.q_grid - 2.0)))
-            rows.append({
-                "m": m, "method": method, "k": cfg.effective_k(),
-                "H": float(doc.hurst.h[i2]),
-                "delta_alpha": float(doc.spectrum.delta_alpha),
-            })
+    for cfg in configs:
+        doc = analyze_series(x, cfg)
+        i2 = int(np.argmin(np.abs(doc.hurst.q_grid - 2.0)))
+        rows.append({
+            "m": cfg.m, "method": cfg.method, "k": cfg.k,
+            "H": float(doc.hurst.h[i2]),
+            "delta_alpha": float(doc.spectrum.delta_alpha),
+        })
     if args.format == "csv":
         lines = ["m,method,k,H,delta_alpha"]
         lines += [f"{r['m']},{r['method']},{r['k']},{r['H']!r},{r['delta_alpha']!r}"
@@ -288,9 +286,8 @@ def _add_analysis_flags(p: argparse.ArgumentParser):
                    help="upper scale bound for the h(q) regression")
     p.add_argument("--log-returns", action="store_true",
                    help="treat the input as prices and analyze log returns")
-    p.add_argument("--drop-overnight", action="store_true",
-                   help="drop returns crossing session boundaries (needs --session-length)")
-    p.add_argument("--session-length", dest="session_length", type=int)
+    p.add_argument("--session-length", dest="session_length", type=int,
+                   help="with --log-returns: prices per session; drop the overnight returns")
     p.add_argument("-o", "--output", help="output path (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 

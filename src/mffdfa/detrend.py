@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 
 #: ties in R^2 below this are broken by position in Q (first wins)
 TIE_EPS = 1e-12
@@ -276,7 +276,8 @@ def batch_segment_variances(segments: np.ndarray, policy: DetrendPolicy):
     Returns (variances, chosen, rank_deficient): chosen holds the 0-based
     winning basis index per segment, and rank_deficient flags each of the
     policy's bases.  All segments share the scale's one DesignFit, so its
-    SVDs are paid once per scale.
+    SVDs are paid once per scale.  A segment whose total sum of squares is
+    not finite raises NumericalError: no R^2 can rank fits to it.
     """
     M, s = segments.shape
     design = DesignFit(s, policy.bases, policy.abscissa)
@@ -290,8 +291,13 @@ def batch_segment_variances(segments: np.ndarray, policy: DetrendPolicy):
     group = rows * max(1, BLOCK_VALUES // (4 * rows))
     for g in range(0, M, group):
         Y = segments[g:g + group]
-        sums = [_kernel(Y[i:i + rows], design)[:3] for i in range(0, len(Y), rows)]
+        # an overflowing sum is refused below: the error is its one report
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = [_kernel(Y[i:i + rows], design)[:3] for i in range(0, len(Y), rows)]
         ss_res, ss_tot, floor = (np.concatenate(part, axis=-1) for part in zip(*sums))
+        if not np.isfinite(ss_tot).all():
+            raise NumericalError(f"segment sum of squares overflows at scale s={s}; "
+                                 "rescale the input")
         best = _best_basis(_r_squared(ss_tot, floor, ss_res))
         chosen[g:g + group] = best
         fsq[g:g + group] = ss_res[best, np.arange(best.size)]

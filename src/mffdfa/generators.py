@@ -73,11 +73,8 @@ def generate_fgn(spec: FbmSpec) -> np.ndarray:
     x[0] = np.sqrt(gamma[0]) * z[0]
     v = gamma[0]
     for m in range(1, n):
-        if m == 1:
-            kappa = gamma[1] / gamma[0]
-        else:
-            kappa = (gamma[m] - phi[: m - 1] @ gamma[m - 1:0:-1]) / v
-            phi[: m - 1] -= kappa * phi[m - 2::-1]
+        kappa = (gamma[m] - phi[: m - 1] @ gamma[m - 1:0:-1]) / v
+        phi[: m - 1] -= kappa * phi[: m - 1][::-1]
         phi[m - 1] = kappa
         v *= 1.0 - kappa * kappa
         x[m] = phi[:m] @ x[m - 1::-1] + np.sqrt(v) * z[m]

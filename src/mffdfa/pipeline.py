@@ -33,8 +33,9 @@ _FIELD_TYPES = {"str": ("a string", str, str), "int": ("an integer", numbers.Int
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Fully specified analysis request: every field has a usable default, and
-    a value must match its annotation (only ``int | None`` fields take None)."""
+    """Fully specified analysis request, as it will run: every field has a
+    usable default, a value must match its annotation (only ``int | None``
+    fields take None), and k is stored as 1 under mfdfa."""
 
     method: str = "mffdfa"
     m: int = 2
@@ -67,12 +68,12 @@ class AnalysisConfig:
         check_order(self.m)
         if self.k < 1:
             raise InputError(f"overlap factor k={self.k} must be at least 1")
+        if self.method == "mfdfa":
+            object.__setattr__(self, "k", 1)
         if self.fit_lo is not None and self.fit_hi is not None and self.fit_lo > self.fit_hi:
             raise InputError(f"fit window [{self.fit_lo}, {self.fit_hi}] is inverted; "
                              "need fit_lo <= fit_hi")
-
-    def effective_k(self) -> int:
-        return 1 if self.method == "mfdfa" else self.k
+        check_q_grid(default_q_grid(self.q_min, self.q_max, self.q_step))
 
     def policy(self) -> DetrendPolicy:
         """The default Q under mffdfa; the one-member Q = {poly_m} otherwise."""
@@ -81,9 +82,8 @@ class AnalysisConfig:
         return DetrendPolicy((polynomial_basis(self.m),), self.abscissa)
 
     def resolved(self, N: int, scales) -> dict:
-        """The fields as run: the method's k, the grid's largest scale, and N."""
-        return dict(dataclasses.asdict(self), s_max=int(scales[-1]),
-                    k=self.effective_k(), N=N)
+        """The fields as run: the grid's largest scale, and N."""
+        return dict(dataclasses.asdict(self), s_max=int(scales[-1]), N=N)
 
     def fit_range(self):
         return (self.fit_lo if self.fit_lo is not None else 0,
@@ -177,8 +177,7 @@ def analyze_series(x, config: AnalysisConfig) -> ResultDocument:
         raise InputError(f"{where}{scales.size} distinct scales in [{scales[0]}, {scales[-1]}] "
                          f"(n_scales={config.n_scales}); the h(q) regression needs at least 4")
     q = default_q_grid(config.q_min, config.q_max, config.q_step)
-    check_q_grid(q)  # a setting: refuse it before any detrending
-    surface = fluctuation_function(profile, scales, config.effective_k(), config.policy(), q)
+    surface = fluctuation_function(profile, scales, config.k, config.policy(), q)
     hurst = fit_hurst(surface, s_range=(lo, hi))
     spec = legendre_transform(hurst)
     return ResultDocument(config=config.resolved(x.size, scales), hurst=hurst,

@@ -317,7 +317,7 @@ def test_a8_financial_recipe(report, tmp_path, fgn_bank):
     doc = json.loads(out.read_text())
     fractions = doc["diagnostics"]["selection_fractions"]
 
-    rc2 = cli_main(["analyze", str(src), "--log-returns", "--drop-overnight",
+    rc2 = cli_main(["analyze", str(src), "--log-returns",
                     "--session-length", "512", "--method", "mffdfa",
                     "--abscissa", "normalized", "-o", str(out)])
     doc2 = json.loads(out.read_text())

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -146,6 +147,17 @@ def test_failed_run_leaves_output_alone(tmp_path, capsys, content, code):
     assert not absent.exists()
 
 
+def test_overflowing_input_exits_three(tmp_path, capsys, fgn_bank):
+    src = tmp_path / "x.csv"
+    _write_series(src, fgn_bank(0.7, 10_000, 0) * 1e154)
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier result\n")
+    assert main(["analyze", str(src), "-o", str(kept)]) == 3
+    assert capsys.readouterr().err == ("error: numerical: segment sum of squares "
+                                       "overflows at scale s=30; rescale the input\n")
+    assert kept.read_text() == "earlier result\n"
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--n-scales", "0"], "n_scales=0"),
     (["--n-scales", "-3"], "n_scales=-3"),
@@ -171,6 +183,59 @@ def test_bad_analysis_setting_exits_two(tmp_path, capsys, flags, message):
     assert main(["analyze", str(src), *flags]) == 2
     err = capsys.readouterr().err
     assert "error: input:" in err and message in err
+
+
+@pytest.fixture
+def input_not_read(monkeypatch):
+    def no_read(path):
+        raise AssertionError("the input was read before the request was checked")
+    monkeypatch.setattr(cli, "read_series", no_read)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--q-step", "0.3"], "q step 0.3 does not divide q_max - q_min = 20.0"),
+    (["analyze", "--q-min", "5", "--q-max", "5.2", "--q-step", "0.2"],
+     "q grid of 2 nodes too short for finite differences (need 3)"),
+    (["analyze", "--k", "0"], "overlap factor k=0 must be at least 1"),
+    (["analyze", "--fit-lo", "900", "--fit-hi", "300"],
+     "fit window [900, 300] is inverted; need fit_lo <= fit_hi"),
+    (["analyze", "--config", "{cfg}"], "setting 'm' must be an integer, got '2'"),
+    (["sweep-m", "--m-min", "0"], "detrending order m=0 outside [1, 10]"),
+    (["sweep-m", "--m-max", "11"], "detrending order m=11 outside [1, 10]"),
+    (["sweep-m", "--m-min", "3", "--m-max", "2"],
+     "m sweep range [3, 2] is inverted; need m_min <= m_max"),
+], ids=["q-step", "two-node-grid", "k", "fit-window", "config-type",
+        "m-min", "m-max", "m-range"])
+@pytest.mark.usefixtures("input_not_read")
+def test_bad_request_refused_before_the_input_is_read(tmp_path, capsys, argv, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"m": "2"}')
+    command, *flags = argv
+    assert main([command, str(tmp_path / "x.csv"),
+                 *(f.format(cfg=cfg) for f in flags)]) == 2
+    assert capsys.readouterr().err == f"error: input: {message}\n"
+
+
+def _sample(field):
+    """A value the field's flag should accept, as text."""
+    kind = field.type.removesuffix(" | None")
+    return {"int": "7", "float": "0.5", "str": field.default}[kind], kind
+
+
+@pytest.mark.parametrize("command, exempt", [("analyze", ()), ("sweep-m", ("method", "m"))])
+def test_every_config_field_has_its_flag(command, exempt):
+    parser = cli.build_parser()
+    for field in dataclasses.fields(AnalysisConfig):
+        if field.name in exempt:
+            continue
+        flag = "--" + field.name.replace("_", "-")
+        text, kind = _sample(field)
+        args = parser.parse_args([command, "x.csv", flag, text])
+        value = getattr(args, field.name)
+        assert type(value).__name__ == kind and str(value) == text, (flag, value)
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, "x.csv", flag, "not-a-value"])
+        assert exc.value.code == 2, flag
 
 
 @pytest.mark.parametrize("method, selects", [
@@ -446,34 +511,26 @@ def test_log_returns_flag(tmp_path, capsys):
     assert "# N = 1200" in capsys.readouterr().out.splitlines()
 
 
-def test_drop_overnight_needs_session_length(tmp_path, capsys):
-    src = tmp_path / "prices.csv"
-    _write_series(src, _prices())
-    assert main(["analyze", str(src), "--log-returns", "--drop-overnight"]) == 2
-    assert "--session-length" in capsys.readouterr().err
-
-
+@pytest.mark.usefixtures("input_not_read")
 def test_drop_overnight_needs_log_returns(tmp_path, capsys):
-    src = tmp_path / "prices.csv"
-    _write_series(src, _prices())
-    assert main(["analyze", str(src), "--drop-overnight",
-                 "--session-length", "60"]) == 2
+    assert main(["analyze", str(tmp_path / "prices.csv"), "--session-length", "60"]) == 2
     assert "--log-returns" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["analyze", "sweep-m"])
-def test_session_length_needs_drop_overnight(tmp_path, capsys, command):
+def test_drop_overnight_flag_is_gone(tmp_path, capsys):
     src = tmp_path / "prices.csv"
     _write_series(src, _prices())
-    assert main([command, str(src), "--log-returns", "--session-length", "5"]) == 2
-    err = capsys.readouterr().err
-    assert "error: input:" in err and "--drop-overnight" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(src), "--log-returns", "--drop-overnight",
+              "--session-length", "60"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --drop-overnight" in capsys.readouterr().err
 
 
 def test_drop_overnight_removes_boundary_returns(tmp_path, capsys):
     src = tmp_path / "prices.csv"
     _write_series(src, _prices(n=1201))
-    assert main(["analyze", str(src), "--log-returns", "--drop-overnight",
+    assert main(["analyze", str(src), "--log-returns",
                  "--session-length", "60", "--q-step", "2.0",
                  "--n-scales", "10"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -562,6 +619,14 @@ def test_config_stores_numpy_scalars_as_python_numbers():
     x = generate_fgn(FbmSpec(hurst=0.5, length=2000, seed=4))
     config = json.loads(analyze_series(x, cfg).to_json())["config"]
     assert (config["s_min"], config["q_step"]) == (30, 0.5)
+
+
+def test_config_holds_the_request_as_it_runs():
+    with pytest.raises(InputError, match="does not divide"):
+        AnalysisConfig(q_step=0.3)
+    cfg = AnalysisConfig(method="mfdfa", k=3)
+    assert cfg.k == 1  # the classical variant runs without overlap
+    assert dataclasses.replace(cfg, method="mfdfa_overlap").k == 1
 
 
 def test_short_q_grid_refused_before_detrending(tmp_path, capsys, monkeypatch):

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mffdfa import (
+    AnalysisConfig,
     DetrendPolicy,
     InputError,
+    NumericalError,
+    analyze_series,
     default_basis_set,
     default_scale_grid,
     generate_cascade,
@@ -236,6 +239,26 @@ def test_blocks_select_as_the_whole_batch():
     assert rank_deficient == (False, False, False, True)
     np.testing.assert_array_equal(chosen, expected)
     assert fsq.tobytes() == (ss_res[expected, np.arange(len(Y))] / s).tobytes()
+
+
+def test_overflowing_line_is_refused_not_ranked():
+    """Only the line's term overflows: F^2 would stay finite, but with
+    ss_tot = inf every R^2 reads 1 and the first basis would win."""
+    t = np.arange(1.0, 101.0)
+    segment = (6.93e151 * t + 2.6e144 * t ** 3)[None, :]
+    with pytest.raises(NumericalError, match="at scale s=100"):
+        batch_segment_variances(segment, DetrendPolicy())
+    _, chosen, _ = batch_segment_variances(segment * 2.0 ** -8, DetrendPolicy())
+    assert chosen.tolist() == [2]  # the cubic, as the segment is built
+
+
+def test_overflowing_series_is_refused_and_large_ones_keep_their_selection(fgn_bank):
+    x = fgn_bank(0.7, 10_000, 0)
+    with pytest.raises(NumericalError, match="at scale s=30"):
+        analyze_series(x * 1e154, AnalysisConfig())
+    counts = [analyze_series(x * c, AnalysisConfig()).surface.selection_counts
+              for c in (1.0, 2.0 ** 500)]
+    np.testing.assert_array_equal(*counts)
 
 
 def test_designs_hold_each_direction_once():
