@@ -13,8 +13,9 @@ Subcommands:
 
 Analysis flags and a ``--config`` JSON file (flags win) set AnalysisConfig
 fields; it checks them, and sweep-m its order range, before any input is
-read.  ``--session-length L`` needs ``--log-returns`` and drops the returns
-that cross a boundary of L-price sessions.  Input files are plain CSV in
+read.  ``--session-length L`` needs ``--log-returns`` and L >= 2, also
+checked before the read, and drops the returns that cross a boundary of
+L-price sessions.  Input files are plain CSV in
 UTF-8 (a byte-order mark is skipped), one value per line, '#' comments
 allowed; an optional second column is ignored with a warning.  Output is
 JSON by default (top-level keys: config, hurst, spectrum, delta_alpha,
@@ -115,21 +116,27 @@ def _read_lines(fh, path: str) -> np.ndarray:
     return np.asarray(values)
 
 
+def _check_session_length(session_length: int) -> None:
+    if session_length < 2:
+        raise InputError(f"session length must be >= 2, got {session_length}")
+
+
 def drop_overnight_returns(returns: np.ndarray, session_length: int) -> np.ndarray:
     """Remove returns that straddle a session boundary.
 
     With prices sampled session_length per session, return i (from price i
     to i+1) crosses a boundary iff (i+1) % session_length == 0.
     """
-    if session_length < 2:
-        raise InputError(f"session length must be >= 2, got {session_length}")
+    _check_session_length(session_length)
     i = np.arange(returns.size)
     return returns[(i + 1) % session_length != 0]
 
 
 def _load_preprocessed(args) -> np.ndarray:
-    if args.session_length is not None and not args.log_returns:
-        raise InputError("--session-length only makes sense with --log-returns")
+    if args.session_length is not None:
+        if not args.log_returns:
+            raise InputError("--session-length only makes sense with --log-returns")
+        _check_session_length(args.session_length)
     x = read_series(args.input)
     if args.log_returns:
         x = log_returns(x)

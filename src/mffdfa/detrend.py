@@ -9,12 +9,17 @@ plus the line b t + c, which ``BasisFunction`` adds to every design itself.
 So one least-squares kernel serves every candidate at once:
 
 * One ``DesignFit`` per (s, abscissa) serves every segment of the scale.
-  It takes the SVD of each basis' column-scaled design -- never raw normal
-  equations, since a raw t^10 column at s ~ 10^4 spans ~40 orders of
-  magnitude -- and keeps W_b, an orthonormal basis of the part of the span
+  It keeps W_b, an orthonormal basis of the part of each basis' span
   orthogonal to {1, t}: one column per candidate of Q, m - 1 for a
-  polynomial of order m.  It holds each direction once, side by side in
-  B = [1/sqrt(s), e_t, W_1, W_2, ...]: the constant, the line, every W_b.
+  polynomial of order m.  A basis with one lead term phi (each candidate
+  of the default Q, and order 2) gets its column in closed form: phi less
+  its projections on the constant and the line, taken off twice, then
+  normalised.  A remainder of norm at most s * eps |phi| gives no column
+  and flags the basis rank-deficient.  A basis with more lead terms takes
+  the SVD of its column-scaled design -- never raw normal equations, since
+  a raw t^10 column at s ~ 10^4 spans ~40 orders of magnitude.  B holds
+  each direction once, side by side: B = [1/sqrt(s), e_t, W_1, W_2, ...],
+  the constant, the line, every W_b.
 * Each segment is first shifted by its own middle sample, Z = Y - y_mid.
   That is exact, since every design holds the constant, and a constant from
   inside the segment's range takes its level out of the rounding: errors
@@ -45,7 +50,6 @@ on that internal convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -131,7 +135,8 @@ def _kernel(Y: np.ndarray, design: DesignFit):
     B = design.B
     s = Y.shape[1]
     mid = Y[:, s // 2]
-    R = Y - mid[:, None]            # Z, until the rank-2 update makes it R
+    R = Y.copy()                    # Z, until the rank-2 update makes it R
+    R -= mid[:, None]
     C = R @ B
     R -= C[:, :2] @ B[:, :2].T
     rr = np.einsum("ij,ij->i", R, R)
@@ -178,12 +183,18 @@ class BasisFunction:
         non-polynomial regressors such as sin(x^2) -- polynomial spans are
         unchanged by the rescaling.
         """
-        if abscissa not in ABSCISSAS:
-            raise InputError(f"abscissa must be one of {ABSCISSAS}, got {abscissa!r}")
-        t = np.arange(1, s + 1, dtype=float)
-        if abscissa == "normalized":
-            t = t / s
+        t = _abscissa(s, abscissa)
         return np.column_stack([phi(t) for phi in self.regressors] + [t, np.ones(s)])
+
+
+def _abscissa(s: int, abscissa: str) -> np.ndarray:
+    """The within-segment abscissa t = 1..s, or t/s under "normalized"."""
+    if abscissa not in ABSCISSAS:
+        raise InputError(f"abscissa must be one of {ABSCISSAS}, got {abscissa!r}")
+    t = np.arange(1, s + 1, dtype=float)
+    if abscissa == "normalized":
+        t /= s
+    return t
 
 
 def default_basis_set() -> list[BasisFunction]:
@@ -207,6 +218,56 @@ def polynomial_basis(m: int) -> BasisFunction:
     return BasisFunction(f"poly{m}", tuple((lambda t, j=j: t ** j) for j in range(m, 1, -1)))
 
 
+def _one_term_direction(phi: Callable[[np.ndarray], np.ndarray], t: np.ndarray,
+                        e: np.ndarray) -> np.ndarray:
+    """The unit direction of phi(t) orthogonal to the constant and to the
+    centred unit line e, as an (s, 1) column, in closed form.
+
+    The two projections are taken off in turn, the constant's as the mean,
+    and the pair twice: once leaves an error along them of about eps times
+    |phi(t)| over the remainder's norm, twice leaves eps ("twice is
+    enough", Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005).  A
+    remainder of norm at most s * eps * |phi(t)|, as of a phi that is zero,
+    gives no column: (s, 0).
+    """
+    s = len(t)
+    w = phi(t)
+    size = np.sqrt(w @ w)
+    # the mean as w.mean() computes it, without its call overhead
+    w = w - w.sum() / s             # a new array: phi(t) may be t itself
+    w -= (e @ w) * e
+    w -= w.sum() / s
+    w -= (e @ w) * e
+    rest = np.sqrt(w @ w)
+    if rest <= s * np.finfo(float).eps * size:
+        return np.empty((s, 0))
+    w /= rest
+    return w[:, None]
+
+
+def _svd_directions(basis: BasisFunction, s: int, abscissa: str,
+                    frame: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the part of the basis' span orthogonal to the
+    frame, from two SVDs.
+
+    The design's columns are scaled to unit norm, its rank is decided by
+    the usual max(shape) * eps * sigma_max cutoff and its numerical range
+    is kept.
+    """
+    A = basis.design(s, abscissa)
+    norms = np.sqrt(np.einsum("ij,ij->j", A, A))
+    norms[norms == 0.0] = 1.0
+    A /= norms
+    U, sv, _ = np.linalg.svd(A, full_matrices=False)
+    rank = int(np.count_nonzero(sv > max(A.shape) * np.finfo(float).eps * sv[0]))
+    del A                           # only U is needed from here on
+    U = U[:, :rank]
+    # t and 1 are columns of A, so span(U) holds them: past the first two,
+    # the left singular vectors of U^T [1, t] point away from both
+    V, _, _ = np.linalg.svd(U.T @ frame)
+    return U @ V[:, 2:]
+
+
 class DesignFit:
     """The least-squares directions of one scale (s, abscissa), for every basis.
 
@@ -215,39 +276,44 @@ class DesignFit:
     of its span orthogonal to both.  ``spans[b]`` is the slice of B's
     columns that holds W_b.  All segments of the scale share B, and every
     segment must be longer than each basis has parameters: an exact fit
-    leaves rounding noise as F^2.  The rank of a basis' column-scaled design
-    is decided on its SVD by the usual max(shape) * eps * sigma_max cutoff.
-    A rank-deficient design keeps the span of its numerical range and is
-    flagged in ``rank_deficient``; so is a basis whose lead terms repeat t
-    or 1.
+    leaves rounding noise as F^2.
+
+    A basis with one lead term phi gets its one direction in closed form
+    (_one_term_direction); a basis with none adds nothing.  A basis with
+    two or more lead terms takes the SVD of its column-scaled design
+    (_svd_directions).  Every direction is written straight into B, which
+    is trimmed only when a basis is rank-deficient: it gives fewer
+    directions than it has lead terms, and is flagged in
+    ``rank_deficient``.  For one lead term that means a remainder of norm
+    at most s * eps |phi|, as of a phi that is zero or inside the line.
     """
 
     def __init__(self, s: int, bases: Sequence[BasisFunction], abscissa: str):
+        x = _abscissa(s, abscissa)
+        B = np.empty((s, 2 + sum(len(basis.regressors) for basis in bases)))
         t = np.arange(s) - (s - 1) / 2.0
-        frame = np.column_stack([np.full(s, 1.0 / np.sqrt(s)), t / np.sqrt(t @ t)])
+        B[:, 0] = 1.0 / np.sqrt(s)
+        B[:, 1] = t / np.sqrt(t @ t)
         del t                       # a column of its own in the peak, if kept
-        Ws, rank_deficient = [], []
+        spans, rank_deficient = [], []
+        end = 2
         for basis in bases:
             if s <= basis.parameter_count:
                 raise InputError(f"segment length {s} not above the {basis.parameter_count} "
                                  f"parameters of basis {basis.name!r}; raise s_min")
-            A = basis.design(s, abscissa)
-            norms = np.sqrt(np.einsum("ij,ij->j", A, A))
-            norms[norms == 0.0] = 1.0
-            A /= norms
-            U, sv, _ = np.linalg.svd(A, full_matrices=False)
-            rank = int(np.count_nonzero(sv > max(A.shape) * np.finfo(float).eps * sv[0]))
-            del A                   # only U is needed from here on
-            U = U[:, :rank]
-            # t and 1 are columns of A, so span(U) holds them: past the first
-            # two, the left singular vectors of U^T [1, t] point away from both
-            V, _, _ = np.linalg.svd(U.T @ frame)
-            Ws.append(U @ V[:, 2:])
-            rank_deficient.append(rank < basis.parameter_count)
-            del U                   # three columns more, if held into the next design
-        self.B = np.concatenate([frame, *Ws], axis=1)
-        ends = list(accumulate((W.shape[1] for W in Ws), initial=2))
-        self.spans = tuple(map(slice, ends[:-1], ends[1:]))
+            if len(basis.regressors) == 1:
+                W = _one_term_direction(basis.regressors[0], x, B[:, 1])
+            elif basis.regressors:
+                W = _svd_directions(basis, s, abscissa, B[:, :2])
+            else:
+                W = B[:, :0]
+            B[:, end:end + W.shape[1]] = W
+            spans.append(slice(end, end + W.shape[1]))
+            rank_deficient.append(W.shape[1] < len(basis.regressors))
+            end += W.shape[1]
+            del W                   # a column more in the next basis' peak, if kept
+        self.B = B if end == B.shape[1] else B[:, :end].copy()
+        self.spans = tuple(spans)
         self.rank_deficient = tuple(rank_deficient)
 
 
@@ -276,8 +342,8 @@ def batch_segment_variances(segments: np.ndarray, policy: DetrendPolicy):
     Returns (variances, chosen, rank_deficient): chosen holds the 0-based
     winning basis index per segment, and rank_deficient flags each of the
     policy's bases.  All segments share the scale's one DesignFit, so its
-    SVDs are paid once per scale.  A segment whose total sum of squares is
-    not finite raises NumericalError: no R^2 can rank fits to it.
+    directions are built once per scale.  A segment whose total sum of
+    squares is not finite raises NumericalError: no R^2 can rank fits to it.
     """
     M, s = segments.shape
     design = DesignFit(s, policy.bases, policy.abscissa)

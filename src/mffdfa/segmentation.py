@@ -9,7 +9,7 @@ the series end.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InputError
 
@@ -19,7 +19,7 @@ def layout(profile: np.ndarray, s: int, k: int) -> np.ndarray:
 
     Stride is floor(s/k); windows run forward from offset 0 and any tail
     shorter than one stride is discarded, so M = floor((N - s)/stride) + 1.
-    The rows are a strided view: nothing of the profile is copied.
+    The rows are a read-only strided view: nothing of the profile is copied.
     """
     N = len(profile)
     if s < 1 or k < 1:
@@ -29,7 +29,9 @@ def layout(profile: np.ndarray, s: int, k: int) -> np.ndarray:
     if k > s:
         raise InputError(f"scale s={s} is shorter than the overlap factor k={k}; "
                          "raise s_min or lower k")
-    return sliding_window_view(profile, s)[::s // k]
+    step = profile.strides[0]
+    return as_strided(profile, shape=((N - s) // (s // k) + 1, s),
+                      strides=(s // k * step, step), writeable=False)
 
 
 def default_scale_grid(N: int, s_min: int = 30, s_max: int | None = None,

@@ -127,6 +127,34 @@ def normal_equations_fitted(columns, y, dps=40):
         return np.asarray([float(v) for v in fitted])
 
 
+def design_svd(s, bases, abscissa):
+    """A scale's design built with two SVDs per basis, as (B, spans,
+    rank_deficient) in ``DesignFit``'s layout.
+
+    Each basis' design is column-scaled and its rank decided by the
+    max(shape) * eps * sigma_max cutoff on its SVD.  Past the first two,
+    the left singular vectors of U^T [1, t] are the directions of the span
+    orthogonal to the line.
+    """
+    t = np.arange(s) - (s - 1) / 2.0
+    frame = np.column_stack([np.full(s, 1.0 / np.sqrt(s)), t / np.sqrt(t @ t)])
+    Ws, rank_deficient = [], []
+    for basis in bases:
+        A = basis.design(s, abscissa)
+        norms = np.sqrt(np.einsum("ij,ij->j", A, A))
+        norms[norms == 0.0] = 1.0
+        A /= norms
+        U, sv, _ = np.linalg.svd(A, full_matrices=False)
+        rank = int(np.count_nonzero(sv > max(A.shape) * np.finfo(float).eps * sv[0]))
+        U = U[:, :rank]
+        V, _, _ = np.linalg.svd(U.T @ frame)
+        Ws.append(U @ V[:, 2:])
+        rank_deficient.append(rank < basis.parameter_count)
+    ends = np.cumsum([2] + [W.shape[1] for W in Ws])
+    spans = tuple(slice(int(a), int(b)) for a, b in zip(ends[:-1], ends[1:]))
+    return np.concatenate([frame, *Ws], axis=1), spans, tuple(rank_deficient)
+
+
 def ss_res_extended(segments, design):
     """Residual sums of squares of least squares per row, in np.longdouble.
 

@@ -517,6 +517,14 @@ def test_drop_overnight_needs_log_returns(tmp_path, capsys):
     assert "--log-returns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("length", [1, 0])
+@pytest.mark.usefixtures("input_not_read")
+def test_short_session_refused_before_the_input_is_read(tmp_path, capsys, length):
+    assert main(["analyze", str(tmp_path / "prices.csv"), "--log-returns",
+                 "--session-length", str(length)]) == 2
+    assert f"session length must be >= 2, got {length}" in capsys.readouterr().err
+
+
 def test_drop_overnight_flag_is_gone(tmp_path, capsys):
     src = tmp_path / "prices.csv"
     _write_series(src, _prices())

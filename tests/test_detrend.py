@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from mffdfa import (
     polynomial_basis,
 )
 from mffdfa.detrend import (
+    ABSCISSAS,
     BLOCK_VALUES,
     M_MAX,
     R2_ZERO_TOL,
@@ -92,10 +94,12 @@ def test_lead_terms_inside_the_line_add_no_direction(fit_one, rng):
     # does not, and is flagged
     listed = BasisFunction("listed", (lambda t: t * t, lambda t: t, np.ones_like))
     y = rng.standard_normal(30)
-    fit_listed = fit_one(y, listed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit_listed = fit_one(y, listed)
+        assert DesignFit(30, [listed], "raw").B.shape == (30, 3)
     fit_lead = fit_one(y, default_basis_set()[0])
     assert fit_listed.rank_deficient and not fit_lead.rank_deficient
-    assert DesignFit(30, [listed], "raw").B.shape == (30, 3)
     np.testing.assert_allclose(fit_listed.fitted, fit_lead.fitted, atol=1e-9)
 
 
@@ -277,10 +281,11 @@ def test_designs_hold_each_direction_once():
 
 
 def test_design_memory_is_its_five_columns():
-    """Building one scale's design under the default Q peaks at B next to
-    the frame and the three W it is assembled from, 10 columns of s values,
-    and the design keeps B alone.  The centred abscissa kept alive, or a
-    basis' U held into the next basis' design, would add one column or three."""
+    """Building one scale's design under the default Q peaks at 8 columns of
+    s values: B, filled in place, next to the abscissa, one basis' lead term
+    and a temporary of its evaluation or projection.  The design keeps B
+    alone.  The centred abscissa kept alive, or one basis' W held apart from
+    B, would add one column."""
     s = 2 ** 17
     bases = default_basis_set()
     tracemalloc.start()
@@ -289,10 +294,89 @@ def test_design_memory_is_its_five_columns():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10.5 * 8 * s
+    assert peak <= 8.5 * 8 * s
     assert design.B.shape == (s, 5) and design.B.base is None
     assert [name for name, value in vars(design).items()
             if isinstance(value, np.ndarray)] == ["B"]
+
+
+
+#: the basis sets whose every basis has at most one lead term, by name
+ONE_TERM_SETS = {
+    "Q": default_basis_set,
+    "poly1": lambda: [polynomial_basis(1)],
+    "poly2": lambda: [polynomial_basis(2)],
+}
+
+
+def _principal_gap(Q1, Q2):
+    """The 2-norm of the difference of the projectors on the spans of two
+    orthonormal (s, k) matrices, the sine of their largest principal angle,
+    without forming either projector."""
+    return np.linalg.norm(Q2 - Q1 @ (Q1.T @ Q2), 2)
+
+
+@pytest.mark.parametrize("abscissa", ABSCISSAS)
+@pytest.mark.parametrize("s", [5, 30, 1000, 2 ** 17])
+@pytest.mark.parametrize("name", ONE_TERM_SETS)
+def test_one_term_directions_match_the_svd_reference(name, s, abscissa):
+    """Each basis' [frame, W_b] spans what the two-SVD construction spans
+    and is orthonormal.  The W of different bases need not be orthogonal
+    to one another."""
+    bases = ONE_TERM_SETS[name]()
+    design = DesignFit(s, bases, abscissa)
+    B, spans, rank_deficient = oracles.design_svd(s, bases, abscissa)
+    assert design.spans == spans and design.rank_deficient == rank_deficient
+    for cols in spans:
+        ours = np.hstack([design.B[:, :2], design.B[:, cols]])
+        ref = np.hstack([B[:, :2], B[:, cols]])
+        assert _principal_gap(ref, ours) <= 1e-12
+        assert np.abs(ours.T @ ours - np.eye(ours.shape[1])).max() <= 1e-14
+
+
+@pytest.mark.parametrize("name", ONE_TERM_SETS)
+def test_one_term_bases_take_no_svd(monkeypatch, name):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an SVD ran for a basis with at most one lead term")
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    bases = ONE_TERM_SETS[name]()
+    for abscissa in ABSCISSAS:
+        design = DesignFit(1000, bases, abscissa)
+        assert design.B.shape == (1000, 2 + sum(len(b.regressors) for b in bases))
+
+
+@pytest.mark.parametrize("m", range(3, M_MAX + 1))
+def test_many_term_bases_keep_the_svd_directions(m):
+    """A basis with two or more lead terms takes the two SVDs, and its B is
+    the reference's to the bit."""
+    for abscissa in ABSCISSAS:
+        design = DesignFit(200, [polynomial_basis(m)], abscissa)
+        B, spans, rank_deficient = oracles.design_svd(200, [polynomial_basis(m)], abscissa)
+        assert design.B.tobytes() == B.tobytes()
+        assert design.spans == spans and design.rank_deficient == rank_deficient
+
+
+@pytest.mark.parametrize("lead", [np.zeros_like, lambda t: 2 * t, lambda t: 3 * t + 1],
+                         ids=["zero", "2t", "3t+1"])
+@pytest.mark.parametrize("abscissa", ABSCISSAS)
+def test_lead_term_inside_the_line_is_flagged_without_a_warning(fit_one, rng, lead, abscissa):
+    basis = BasisFunction("in-line", (lead,))
+    y = rng.standard_normal(40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        design = DesignFit(40, [basis], abscissa)
+        fit = fit_one(y, basis, abscissa)
+    assert design.rank_deficient == (True,) and design.spans == (slice(2, 2),)
+    np.testing.assert_array_equal(design.B, DesignFit(40, [polynomial_basis(1)], abscissa).B)
+    assert fit.rank_deficient
+    line = fit_one(y, polynomial_basis(1), abscissa)
+    np.testing.assert_allclose(fit.fitted, line.fitted, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ONE_TERM_SETS)
+def test_design_refuses_an_unknown_abscissa(name):
+    with pytest.raises(InputError, match="abscissa must be one of"):
+        DesignFit(30, ONE_TERM_SETS[name](), "bogus")
 
 
 def test_default_basis_set_shape():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from mffdfa import InputError, default_scale_grid, layout
 
@@ -85,8 +86,9 @@ def test_strided_window_view_has_the_layout_starts(N, s, k):
     segments = layout(y, s, k)
     starts = np.arange(0, N - s + 1, s // k)
     assert segments.shape == (starts.size, s)
-    assert np.shares_memory(segments, y)
+    assert np.shares_memory(segments, y) and not segments.flags.writeable
     np.testing.assert_array_equal(segments, y[starts[:, None] + np.arange(s)])
+    assert segments.strides == sliding_window_view(y, s)[::s // k].strides
 
 
 def test_default_grid_standard_parameters():
