@@ -5,21 +5,15 @@ each segment and the winner is picked by coefficient of determination.
 Classical MFDFA-m is the one-member set Q = {polynomial of order m}.
 
 Every candidate model is linear in its parameters: its lead terms phi_j
-plus the line b t + c, which ``BasisFunction`` adds to every design itself.
+plus the line b t + c, which every model carries without listing it.
 So one least-squares kernel serves every candidate at once:
 
 * One ``DesignFit`` per (s, abscissa) serves every segment of the scale.
-  It keeps W_b, an orthonormal basis of the part of each basis' span
-  orthogonal to {1, t}: one column per candidate of Q, m - 1 for a
-  polynomial of order m.  A basis with one lead term phi (each candidate
-  of the default Q, and order 2) gets its column in closed form: phi less
-  its projections on the constant and the line, taken off twice, then
-  normalised.  A remainder of norm at most s * eps |phi| gives no column
-  and flags the basis rank-deficient.  A basis with more lead terms takes
-  the SVD of its column-scaled design -- never raw normal equations, since
-  a raw t^10 column at s ~ 10^4 spans ~40 orders of magnitude.  B holds
-  each direction once, side by side: B = [1/sqrt(s), e_t, W_1, W_2, ...],
-  the constant, the line, every W_b.
+  B = [1/sqrt(s), e_t, W_1, W_2, ...] holds the constant, the centred line
+  e_t and, per basis, W_b, an orthonormal basis of the rest of its span:
+  one column per lead term, made orthogonal to the line and to its basis'
+  earlier columns.  A polynomial of order m lists the Chebyshev
+  polynomials T_2 ... T_m of the abscissa as its lead terms.
 * Each segment is first shifted by its own middle sample, Z = Y - y_mid.
   That is exact, since every design holds the constant, and a constant from
   inside the segment's range takes its level out of the rounding: errors
@@ -42,9 +36,6 @@ So one least-squares kernel serves every candidate at once:
   to the winners' F^2 before the next ones are taken: the only arrays of
   the batch's length are F^2 and the winning index, and the segments can
   be a strided view.
-
-Fitted values are invariant to the column scaling, so results don't depend
-on that internal convention.
 """
 
 from __future__ import annotations
@@ -175,17 +166,6 @@ class BasisFunction:
     def parameter_count(self) -> int:
         return len(self.regressors) + 2
 
-    def design(self, s: int, abscissa: str = "raw") -> np.ndarray:
-        """Design matrix (s, parameter_count): columns phi_1 ... phi_p, t, 1.
-
-        The abscissa is the within-segment index t = 1..s; "normalized"
-        rescales it to t/s in (0, 1].  The distinction only matters for
-        non-polynomial regressors such as sin(x^2) -- polynomial spans are
-        unchanged by the rescaling.
-        """
-        t = _abscissa(s, abscissa)
-        return np.column_stack([phi(t) for phi in self.regressors] + [t, np.ones(s)])
-
 
 def _abscissa(s: int, abscissa: str) -> np.ndarray:
     """The within-segment abscissa t = 1..s, or t/s under "normalized"."""
@@ -213,59 +193,39 @@ def check_order(m: int) -> None:
 
 
 def polynomial_basis(m: int) -> BasisFunction:
-    """Full polynomial of order m: lead terms t^m, ..., t^2 (none for m = 1)."""
+    """Full polynomial of order m: lead terms T_2, ..., T_m (none for m = 1).
+
+    T_j is the Chebyshev polynomial of the abscissa mapped affinely onto
+    [-1, 1].  With the line, T_2 ... T_m span what t^2 ... t^m span, but
+    their columns stay well conditioned where t^m spans orders of magnitude.
+    """
     check_order(m)
-    return BasisFunction(f"poly{m}", tuple((lambda t, j=j: t ** j) for j in range(m, 1, -1)))
+    return BasisFunction(f"poly{m}", tuple(_chebyshev(j) for j in range(2, m + 1)))
 
 
-def _one_term_direction(phi: Callable[[np.ndarray], np.ndarray], t: np.ndarray,
-                        e: np.ndarray) -> np.ndarray:
-    """The unit direction of phi(t) orthogonal to the constant and to the
-    centred unit line e, as an (s, 1) column, in closed form.
-
-    The two projections are taken off in turn, the constant's as the mean,
-    and the pair twice: once leaves an error along them of about eps times
-    |phi(t)| over the remainder's norm, twice leaves eps ("twice is
-    enough", Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005).  A
-    remainder of norm at most s * eps * |phi(t)|, as of a phi that is zero,
-    gives no column: (s, 0).
-    """
-    s = len(t)
-    w = phi(t)
-    size = np.sqrt(w @ w)
-    # the mean as w.mean() computes it, without its call overhead
-    w = w - w.sum() / s             # a new array: phi(t) may be t itself
-    w -= (e @ w) * e
-    w -= w.sum() / s
-    w -= (e @ w) * e
-    rest = np.sqrt(w @ w)
-    if rest <= s * np.finfo(float).eps * size:
-        return np.empty((s, 0))
-    w /= rest
-    return w[:, None]
+def _chebyshev(j: int) -> Callable[[np.ndarray], np.ndarray]:
+    """T_j of an ascending abscissa t mapped affinely onto [-1, 1], as cos(j arccos u)."""
+    def lead(t: np.ndarray) -> np.ndarray:
+        u = 2.0 * t
+        u -= t[0] + t[-1]
+        u /= t[-1] - t[0]
+        # a rounded endpoint may land just outside [-1, 1], where arccos is
+        # NaN; two ufuncs clip it in less time than np.clip's one call
+        np.minimum(u, 1.0, out=u)
+        np.maximum(u, -1.0, out=u)
+        np.arccos(u, out=u)
+        u *= j
+        return np.cos(u, out=u)
+    return lead
 
 
-def _svd_directions(basis: BasisFunction, s: int, abscissa: str,
-                    frame: np.ndarray) -> np.ndarray:
-    """An orthonormal basis of the part of the basis' span orthogonal to the
-    frame, from two SVDs.
-
-    The design's columns are scaled to unit norm, its rank is decided by
-    the usual max(shape) * eps * sigma_max cutoff and its numerical range
-    is kept.
-    """
-    A = basis.design(s, abscissa)
-    norms = np.sqrt(np.einsum("ij,ij->j", A, A))
-    norms[norms == 0.0] = 1.0
-    A /= norms
-    U, sv, _ = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.count_nonzero(sv > max(A.shape) * np.finfo(float).eps * sv[0]))
-    del A                           # only U is needed from here on
-    U = U[:, :rank]
-    # t and 1 are columns of A, so span(U) holds them: past the first two,
-    # the left singular vectors of U^T [1, t] point away from both
-    V, _, _ = np.linalg.svd(U.T @ frame)
-    return U @ V[:, 2:]
+def check_scale(s: int, bases: Sequence[BasisFunction]) -> None:
+    """Refuse a segment length s not above every basis' parameter count: an
+    exact fit leaves rounding noise as F^2."""
+    for basis in bases:
+        if s <= basis.parameter_count:
+            raise InputError(f"segment length {s} not above the {basis.parameter_count} "
+                             f"parameters of basis {basis.name!r}; raise s_min")
 
 
 class DesignFit:
@@ -275,43 +235,54 @@ class DesignFit:
     e_t, then each basis' W: an orthonormal basis (s, rank - 2) of the part
     of its span orthogonal to both.  ``spans[b]`` is the slice of B's
     columns that holds W_b.  All segments of the scale share B, and every
-    segment must be longer than each basis has parameters: an exact fit
-    leaves rounding noise as F^2.
+    segment must be longer than each basis has parameters (check_scale).
 
-    A basis with one lead term phi gets its one direction in closed form
-    (_one_term_direction); a basis with none adds nothing.  A basis with
-    two or more lead terms takes the SVD of its column-scaled design
-    (_svd_directions).  Every direction is written straight into B, which
-    is trimmed only when a basis is rank-deficient: it gives fewer
-    directions than it has lead terms, and is flagged in
-    ``rank_deficient``.  For one lead term that means a remainder of norm
-    at most s * eps |phi|, as of a phi that is zero or inside the line.
+    Each lead term phi of a basis, in order, gives at most one column of
+    W_b: phi(t) less its mean, its projection on e_t and its projections on
+    the basis' earlier columns, all taken off twice, then normalised.  Once
+    leaves an error along them of about eps times |phi(t)| over the
+    remainder's norm, twice leaves eps ("twice is enough", Giraud, Langou &
+    Rozloznik, Comput. Math. Appl. 50, 2005).  A remainder of norm at most
+    s * eps * |phi(t)|, as of a phi that is zero, inside the line or inside
+    the basis' earlier terms, gives no column and flags the basis in
+    ``rank_deficient``.  Every column is written straight into B, which is
+    trimmed only after a rank-deficient basis.
     """
 
     def __init__(self, s: int, bases: Sequence[BasisFunction], abscissa: str):
         x = _abscissa(s, abscissa)
+        check_scale(s, bases)
         B = np.empty((s, 2 + sum(len(basis.regressors) for basis in bases)))
         t = np.arange(s) - (s - 1) / 2.0
         B[:, 0] = 1.0 / np.sqrt(s)
         B[:, 1] = t / np.sqrt(t @ t)
         del t                       # a column of its own in the peak, if kept
+        e = B[:, 1]
         spans, rank_deficient = [], []
         end = 2
         for basis in bases:
-            if s <= basis.parameter_count:
-                raise InputError(f"segment length {s} not above the {basis.parameter_count} "
-                                 f"parameters of basis {basis.name!r}; raise s_min")
-            if len(basis.regressors) == 1:
-                W = _one_term_direction(basis.regressors[0], x, B[:, 1])
-            elif basis.regressors:
-                W = _svd_directions(basis, s, abscissa, B[:, :2])
-            else:
-                W = B[:, :0]
-            B[:, end:end + W.shape[1]] = W
-            spans.append(slice(end, end + W.shape[1]))
-            rank_deficient.append(W.shape[1] < len(basis.regressors))
-            end += W.shape[1]
-            del W                   # a column more in the next basis' peak, if kept
+            start = end
+            for phi in basis.regressors:
+                w = phi(x)
+                size = np.sqrt(w @ w)
+                # the mean as w.mean() computes it, without its call overhead,
+                # taken off into a new array: phi(t) may be t itself
+                w = w - w.sum() / s
+                for again in (True, False):
+                    w -= (e @ w) * e
+                    if end > start:
+                        W = B[:, start:end]
+                        w -= W @ (W.T @ w)
+                    if again:
+                        w -= w.sum() / s
+                rest = np.sqrt(w @ w)
+                if rest > s * np.finfo(float).eps * size:
+                    w /= rest
+                    B[:, end] = w
+                    end += 1
+                del w               # a column more in the next term's peak, if kept
+            spans.append(slice(start, end))
+            rank_deficient.append(end - start < len(basis.regressors))
         self.B = B if end == B.shape[1] else B[:, :end].copy()
         self.spans = tuple(spans)
         self.rank_deficient = tuple(rank_deficient)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detrend import ABSCISSAS, DetrendPolicy, check_order, polynomial_basis
+from .detrend import ABSCISSAS, DetrendPolicy, check_order, check_scale, polynomial_basis
 from .errors import InputError, NumericalError
 from .fluctuation import FluctuationSurface, default_q_grid, fluctuation_function
 from .segmentation import default_scale_grid
@@ -74,6 +74,8 @@ class AnalysisConfig:
             raise InputError(f"fit window [{self.fit_lo}, {self.fit_hi}] is inverted; "
                              "need fit_lo <= fit_hi")
         check_q_grid(default_q_grid(self.q_min, self.q_max, self.q_step))
+        # s_min is the grid's smallest scale
+        check_scale(self.s_min, self.policy().bases)
 
     def policy(self) -> DetrendPolicy:
         """The default Q under mffdfa; the one-member Q = {poly_m} otherwise."""

@@ -127,6 +127,15 @@ def normal_equations_fitted(columns, y, dps=40):
         return np.asarray([float(v) for v in fitted])
 
 
+def design(basis, s, abscissa="raw"):
+    """A basis' design matrix (s, parameter_count): columns phi_1 ... phi_p,
+    t, 1 on the abscissa t = 1..s, or t/s under "normalized"."""
+    t = np.arange(1, s + 1, dtype=float)
+    if abscissa == "normalized":
+        t /= s
+    return np.column_stack([phi(t) for phi in basis.regressors] + [t, np.ones(s)])
+
+
 def design_svd(s, bases, abscissa):
     """A scale's design built with two SVDs per basis, as (B, spans,
     rank_deficient) in ``DesignFit``'s layout.
@@ -140,7 +149,7 @@ def design_svd(s, bases, abscissa):
     frame = np.column_stack([np.full(s, 1.0 / np.sqrt(s)), t / np.sqrt(t @ t)])
     Ws, rank_deficient = [], []
     for basis in bases:
-        A = basis.design(s, abscissa)
+        A = design(basis, s, abscissa)
         norms = np.sqrt(np.einsum("ij,ij->j", A, A))
         norms[norms == 0.0] = 1.0
         A /= norms
@@ -155,6 +164,23 @@ def design_svd(s, bases, abscissa):
     return np.concatenate([frame, *Ws], axis=1), spans, tuple(rank_deficient)
 
 
+def _orthonormal_twice(Q, j, v):
+    """v less its projection on Q's first j columns, taken off twice, normalised."""
+    for _ in range(2):
+        v -= Q[:, :j] @ (Q[:, :j].T @ v)
+    return v / np.sqrt(v @ v)
+
+
+def _ss_res_on(segments, Q):
+    """Residual sums of squares per row after projecting off the mean and
+    the orthonormal columns of Q (np.longdouble), twice."""
+    R = np.asarray(segments, dtype=np.longdouble)
+    R = R - R.mean(axis=1, keepdims=True)
+    for _ in range(2):
+        R = R - (R @ Q) @ Q.T
+    return np.sum(R * R, axis=1)
+
+
 def ss_res_extended(segments, design):
     """Residual sums of squares of least squares per row, in np.longdouble.
 
@@ -167,15 +193,32 @@ def ss_res_extended(segments, design):
     A = np.asarray(design, dtype=np.longdouble)[:, ::-1]
     Q = np.zeros_like(A)
     for j in range(A.shape[1]):
-        v = A[:, j].copy()
-        for _ in range(2):
-            v -= Q[:, :j] @ (Q[:, :j].T @ v)
-        Q[:, j] = v / np.sqrt(v @ v)
-    R = np.asarray(segments, dtype=np.longdouble)
-    R = R - R.mean(axis=1, keepdims=True)
-    for _ in range(2):
-        R = R - (R @ Q) @ Q.T
-    return np.sum(R * R, axis=1)
+        Q[:, j] = _orthonormal_twice(Q, j, A[:, j].copy())
+    return _ss_res_on(segments, Q)
+
+
+def orthopoly_extended(s, m):
+    """Orthonormal polynomials of degrees 0 ... m on s equispaced points,
+    as (s, m + 1) columns in np.longdouble.
+
+    Vandermonde with Arnoldi (Brubeck, Nakatsukasa & Trefethen, SIAM Rev.
+    63, 405, 2021): column k is x times column k - 1, orthogonalised twice
+    against every earlier column and normalised, with x the centred
+    abscissa scaled to [-1, 1].  No power of the abscissa is formed.
+    """
+    x = np.arange(s, dtype=np.longdouble) - np.longdouble(s - 1) / 2
+    x /= x[-1]
+    Q = np.zeros((s, m + 1), dtype=np.longdouble)
+    Q[:, 0] = 1 / np.sqrt(np.longdouble(s))
+    for k in range(1, m + 1):
+        Q[:, k] = _orthonormal_twice(Q, k, x * Q[:, k - 1])
+    return Q
+
+
+def ss_res_polynomial(segments, m):
+    """Residual sums of squares per row of the least-squares polynomial of
+    order m, in np.longdouble, from ``orthopoly_extended``."""
+    return _ss_res_on(segments, orthopoly_extended(np.shape(segments)[1], m))
 
 
 def popcount_cascade(a, n_max):

@@ -204,8 +204,12 @@ def input_not_read(monkeypatch):
     (["sweep-m", "--m-max", "11"], "detrending order m=11 outside [1, 10]"),
     (["sweep-m", "--m-min", "3", "--m-max", "2"],
      "m sweep range [3, 2] is inverted; need m_min <= m_max"),
+    (["analyze", "--method", "mfdfa", "--m", "3", "--s-min", "4"],
+     "segment length 4 not above the 4 parameters of basis 'poly3'; raise s_min"),
+    (["sweep-m", "--s-min", "4"],
+     "segment length 4 not above the 4 parameters of basis 'poly3'; raise s_min"),
 ], ids=["q-step", "two-node-grid", "k", "fit-window", "config-type",
-        "m-min", "m-max", "m-range"])
+        "m-min", "m-max", "m-range", "s-min", "sweep-s-min"])
 @pytest.mark.usefixtures("input_not_read")
 def test_bad_request_refused_before_the_input_is_read(tmp_path, capsys, argv, message):
     cfg = tmp_path / "cfg.json"

@@ -72,7 +72,7 @@ def test_cubic_matches_normal_equations_oracle(fit_one, rng):
     y = rng.standard_normal(50)
     basis = default_basis_set()[2]
     fit = fit_one(y, basis)
-    oracle = oracles.normal_equations_fitted(basis.design(50).T, y)
+    oracle = oracles.normal_equations_fitted(oracles.design(basis, 50).T, y)
     assert np.linalg.norm(fit.fitted - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
 
@@ -301,12 +301,16 @@ def test_design_memory_is_its_five_columns():
 
 
 
-#: the basis sets whose every basis has at most one lead term, by name
-ONE_TERM_SETS = {
+#: basis sets by name: the default Q, every fixed order and a custom basis
+#: of two lead terms
+BASIS_SETS = {
     "Q": default_basis_set,
-    "poly1": lambda: [polynomial_basis(1)],
-    "poly2": lambda: [polynomial_basis(2)],
+    **{f"poly{m}": (lambda m=m: [polynomial_basis(m)]) for m in range(1, M_MAX + 1)},
+    "two-term": lambda: [BasisFunction("two-term", (lambda t: np.sin(t * t), lambda t: t ** 3))],
 }
+
+#: the basis sets whose every basis has at most one lead term
+ONE_TERM_SETS = {name: BASIS_SETS[name] for name in ("Q", "poly1", "poly2")}
 
 
 def _principal_gap(Q1, Q2):
@@ -316,14 +320,10 @@ def _principal_gap(Q1, Q2):
     return np.linalg.norm(Q2 - Q1 @ (Q1.T @ Q2), 2)
 
 
-@pytest.mark.parametrize("abscissa", ABSCISSAS)
-@pytest.mark.parametrize("s", [5, 30, 1000, 2 ** 17])
-@pytest.mark.parametrize("name", ONE_TERM_SETS)
-def test_one_term_directions_match_the_svd_reference(name, s, abscissa):
+def _assert_spans_the_svd_reference(s, bases, abscissa):
     """Each basis' [frame, W_b] spans what the two-SVD construction spans
-    and is orthonormal.  The W of different bases need not be orthogonal
-    to one another."""
-    bases = ONE_TERM_SETS[name]()
+    and is orthonormal, with the reference's spans and rank_deficient.  The
+    W of different bases need not be orthogonal to one another."""
     design = DesignFit(s, bases, abscissa)
     B, spans, rank_deficient = oracles.design_svd(s, bases, abscissa)
     assert design.spans == spans and design.rank_deficient == rank_deficient
@@ -334,12 +334,20 @@ def test_one_term_directions_match_the_svd_reference(name, s, abscissa):
         assert np.abs(ours.T @ ours - np.eye(ours.shape[1])).max() <= 1e-14
 
 
+@pytest.mark.parametrize("abscissa", ABSCISSAS)
+@pytest.mark.parametrize("s", [5, 30, 1000, 2 ** 17])
 @pytest.mark.parametrize("name", ONE_TERM_SETS)
+def test_one_term_directions_match_the_svd_reference(name, s, abscissa):
+    _assert_spans_the_svd_reference(s, ONE_TERM_SETS[name](), abscissa)
+
+
+@pytest.mark.parametrize("name", BASIS_SETS)
 def test_one_term_bases_take_no_svd(monkeypatch, name):
+    """No basis, whatever its number of lead terms, runs an SVD."""
     def no_svd(*args, **kwargs):
-        raise AssertionError("an SVD ran for a basis with at most one lead term")
+        raise AssertionError("an SVD ran for a design")
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    bases = ONE_TERM_SETS[name]()
+    bases = BASIS_SETS[name]()
     for abscissa in ABSCISSAS:
         design = DesignFit(1000, bases, abscissa)
         assert design.B.shape == (1000, 2 + sum(len(b.regressors) for b in bases))
@@ -347,13 +355,37 @@ def test_one_term_bases_take_no_svd(monkeypatch, name):
 
 @pytest.mark.parametrize("m", range(3, M_MAX + 1))
 def test_many_term_bases_keep_the_svd_directions(m):
-    """A basis with two or more lead terms takes the two SVDs, and its B is
-    the reference's to the bit."""
+    """A basis with two or more lead terms spans, next to the frame, what
+    the two SVDs of its column-scaled monomial design span."""
     for abscissa in ABSCISSAS:
-        design = DesignFit(200, [polynomial_basis(m)], abscissa)
-        B, spans, rank_deficient = oracles.design_svd(200, [polynomial_basis(m)], abscissa)
-        assert design.B.tobytes() == B.tobytes()
-        assert design.spans == spans and design.rank_deficient == rank_deficient
+        for s in (m + 2, 200, 2 ** 16 + 3):
+            _assert_spans_the_svd_reference(s, [polynomial_basis(m)], abscissa)
+
+
+@pytest.mark.parametrize("abscissa", ABSCISSAS)
+def test_polynomial_directions_nest(abscissa):
+    """poly m's B is the first m + 1 columns of poly10's, to the bit: each
+    order adds one direction and leaves the lower ones as they were."""
+    for s in (12, 30, 1000, 2 ** 16 + 3):
+        top = DesignFit(s, [polynomial_basis(M_MAX)], abscissa).B
+        for m in range(1, M_MAX):
+            B = DesignFit(s, [polynomial_basis(m)], abscissa).B
+            assert B.tobytes() == np.ascontiguousarray(top[:, :m + 1]).tobytes()
+
+
+@pytest.mark.parametrize("abscissa", ABSCISSAS)
+@pytest.mark.parametrize("s", [6, 12, 30, 1000])
+def test_polynomial_lead_terms_are_chebyshev(s, abscissa):
+    """poly10's lead terms are T_2 ... T_10 of the abscissa mapped onto
+    [-1, 1], and finite: at each of these s, "normalized" maps an endpoint
+    a rounding past +-1, where arccos gives NaN."""
+    t = oracles.design(polynomial_basis(1), s, abscissa)[:, 0]
+    u = np.linspace(-1.0, 1.0, s)
+    for j, phi in enumerate(polynomial_basis(M_MAX).regressors, start=2):
+        lead = phi(t)
+        assert np.isfinite(lead).all()
+        np.testing.assert_allclose(lead, np.polynomial.chebyshev.Chebyshev.basis(j)(u),
+                                   rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("lead", [np.zeros_like, lambda t: 2 * t, lambda t: 3 * t + 1],
@@ -388,15 +420,15 @@ def test_default_basis_set_shape():
 def test_basis_regressor_values_at_two():
     q_set = default_basis_set()
     # the design's row at t = 2
-    assert q_set[0].design(2)[1].tolist() == [4.0, 2.0, 1.0]
-    vals = q_set[1].design(2)[1].tolist()
+    assert oracles.design(q_set[0], 2)[1].tolist() == [4.0, 2.0, 1.0]
+    vals = oracles.design(q_set[1], 2)[1].tolist()
     assert vals == [pytest.approx(np.sin(4.0)), 2.0, 1.0]
 
 
 def test_polynomial_basis_linear():
     basis = polynomial_basis(1)
     # the design's row at t = 3
-    assert basis.design(3)[2].tolist() == [3.0, 1.0]
+    assert oracles.design(basis, 3)[2].tolist() == [3.0, 1.0]
     assert basis.parameter_count == 2
 
 
@@ -411,7 +443,7 @@ def test_polynomial_basis_m10_against_exact_oracle(fit_one, rng):
     y = rng.standard_normal(30)
     basis = polynomial_basis(10)
     fit = fit_one(y, basis)
-    oracle = oracles.normal_equations_fitted(basis.design(30).T, y, dps=60)
+    oracle = oracles.normal_equations_fitted(oracles.design(basis, 30).T, y, dps=60)
     assert np.linalg.norm(fit.fitted - oracle) <= 1e-6 * np.linalg.norm(oracle)
 
 
@@ -528,7 +560,7 @@ def test_ss_res_matches_extended_precision():
         s = segs.shape[1]
         for policy in _single_basis_policies():
             (basis,) = policy.bases
-            ref = oracles.ss_res_extended(segs, basis.design(s)).astype(float)
+            ref = oracles.ss_res_extended(segs, oracles.design(basis, s)).astype(float)
             np.testing.assert_allclose(_batched_ss_res(segs, policy), ref, rtol=1e-11,
                                        err_msg=f"{label} {basis.name}")
 
@@ -545,11 +577,33 @@ def test_near_exact_cubic_matches_extended_precision(rng):
     a = rng.uniform(2e-6, 4e-6, 40) * rng.choice([-1.0, 1.0], 40)
     lines = rng.uniform(-1e-6, 1e-6, (40, 2)) @ np.stack([x, np.ones(s)])
     segs = a[:, None] * x ** 3 + lines + 1e-10 * rng.standard_normal((40, s))
-    linear = oracles.ss_res_extended(segs, polynomial_basis(1).design(s)).astype(float)
+    linear = oracles.ss_res_extended(segs, oracles.design(polynomial_basis(1), s)).astype(float)
     for policy in _single_basis_policies():
         (basis,) = policy.bases
-        ref = oracles.ss_res_extended(segs, basis.design(s)).astype(float)
+        ref = oracles.ss_res_extended(segs, oracles.design(basis, s)).astype(float)
         if basis.name in ("cubic", "poly3"):
             assert np.all(ref < RESIDUAL_GUARD * linear)
         np.testing.assert_allclose(_batched_ss_res(segs, policy), ref, rtol=1e-11,
                                    err_msg=basis.name)
+
+
+@pytest.mark.parametrize("m", [5, 8, 10])
+def test_high_orders_match_extended_precision(m):
+    """Batched ss_res of poly5, poly8 and poly10 against a long-double
+    least-squares polynomial fit whose orthonormal columns come from an
+    Arnoldi recurrence, not from ``polynomial_basis``' lead terms.
+
+    The segments are windows at random starts of a cascade's profile and of
+    a white-noise profile, 100 per scale and 16 at s = 10^4.
+    """
+    rng = np.random.default_rng(21)
+    profiles = {"cascade": build_profile(generate_cascade(CascadeSpec(a=0.65, n_max=17))),
+                "fgn": build_profile(generate_fgn(FbmSpec(hurst=0.5, length=100_000, seed=0)))}
+    policy = DetrendPolicy((polynomial_basis(m),))
+    for name, profile in profiles.items():
+        for s in (30, 122, 1000, 10_000):
+            starts = rng.integers(0, profile.size - s + 1, 16 if s == 10_000 else 100)
+            segs = profile[starts[:, None] + np.arange(s)]
+            ref = oracles.ss_res_polynomial(segs, m).astype(float)
+            np.testing.assert_allclose(_batched_ss_res(segs, policy), ref, rtol=1e-11,
+                                       err_msg=f"{name} s={s}")
