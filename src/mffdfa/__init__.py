@@ -8,12 +8,7 @@ the trend model may be chosen per segment from a small basis set by
 coefficient of determination instead of being one fixed polynomial.
 """
 
-from .detrend import (
-    BasisFunction,
-    DetrendPolicy,
-    default_basis_set,
-    polynomial_basis,
-)
+from .detrend import BasisFunction, default_basis_set, polynomial_basis
 from .errors import InputError, NumericalError
 from .fluctuation import FluctuationSurface, default_q_grid, fluctuation_function
 from .generators import (
@@ -33,8 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisConfig", "ResultDocument", "analyze_series",
-    "BasisFunction", "DetrendPolicy",
-    "default_basis_set", "polynomial_basis",
+    "BasisFunction", "default_basis_set", "polynomial_basis",
     "InputError", "NumericalError",
     "FluctuationSurface", "default_q_grid", "fluctuation_function",
     "CascadeSpec", "FbmSpec", "cascade_oracle",

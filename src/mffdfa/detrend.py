@@ -1,6 +1,6 @@
 """Per-segment trend estimation.
 
-One detrending policy: every candidate of a small basis set Q is fitted to
+One detrending rule: every candidate of a small basis set Q is fitted to
 each segment and the winner is picked by coefficient of determination.
 Classical MFDFA-m is the one-member set Q = {polynomial of order m}.
 
@@ -8,12 +8,12 @@ Every candidate model is linear in its parameters: its lead terms phi_j
 plus the line b t + c, which every model carries without listing it.
 So one least-squares kernel serves every candidate at once:
 
-* One ``DesignFit`` per (s, abscissa) serves every segment of the scale.
+* One ``DesignFit`` per scale s serves every segment of the scale.
   B = [1/sqrt(s), e_t, W_1, W_2, ...] holds the constant, the centred line
   e_t and, per basis, W_b, an orthonormal basis of the rest of its span:
   one column per lead term, made orthogonal to the line and to its basis'
-  earlier columns.  A polynomial of order m lists the Chebyshev
-  polynomials T_2 ... T_m of the abscissa as its lead terms.
+  earlier columns, from lead terms evaluated on t = 1..s.  A polynomial of
+  order m lists the Chebyshev polynomials T_2 ... T_m as its lead terms.
 * Each segment is first shifted by its own middle sample, Z = Y - y_mid.
   That is exact, since every design holds the constant, and a constant from
   inside the segment's range takes its level out of the rounding: errors
@@ -40,7 +40,7 @@ So one least-squares kernel serves every candidate at once:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,7 +65,7 @@ RESIDUAL_GUARD = 1e-3
 #: core's cache, and no temporary grows with the series
 BLOCK_VALUES = 2 ** 15
 
-#: the within-segment abscissa conventions: t = 1..s, or t/s
+#: the abscissas the default Q can be written in: x = t or x = t/s, for t = 1..s
 ABSCISSAS = ("raw", "normalized")
 
 #: the largest fixed detrending order, for one analysis and for an m sweep
@@ -154,9 +154,9 @@ def _kernel(Y: np.ndarray, design: DesignFit):
 class BasisFunction:
     """A trend model linear in its parameters: trend(t) = sum_j a_j phi_j(t) + b t + c.
 
-    ``regressors`` lists only the lead terms phi_j; the line b t + c is part
-    of every model, since the detrending kernel centres each segment and
-    removes its line before it looks at the rest of the span.
+    ``regressors`` lists only the lead terms phi_j, called on t = 1..s;
+    every model carries the line b t + c: the detrending kernel centres each
+    segment and removes its line before it looks at the rest of the span.
     """
 
     name: str
@@ -167,22 +167,23 @@ class BasisFunction:
         return len(self.regressors) + 2
 
 
-def _abscissa(s: int, abscissa: str) -> np.ndarray:
-    """The within-segment abscissa t = 1..s, or t/s under "normalized"."""
+def check_abscissa(abscissa: str) -> None:
+    """Refuse an abscissa name outside ABSCISSAS."""
     if abscissa not in ABSCISSAS:
         raise InputError(f"abscissa must be one of {ABSCISSAS}, got {abscissa!r}")
-    t = np.arange(1, s + 1, dtype=float)
-    if abscissa == "normalized":
-        t /= s
-    return t
 
 
-def default_basis_set() -> list[BasisFunction]:
-    """The flexible basis set Q = {ax^2+bx+c, a sin(x^2)+bx+c, ax^3+bx+c}."""
+def default_basis_set(abscissa: str = "raw") -> list[BasisFunction]:
+    """The flexible basis set Q = {ax^2+bx+c, a sin(x^2)+bx+c, ax^3+bx+c} on
+    x = t, or on x = t/s = t / t[-1] under "normalized": only the sine's span moves."""
+    check_abscissa(abscissa)
+
+    def on_x(lead):
+        return lead if abscissa == "raw" else (lambda t: lead(t / t[-1]))
     return [
-        BasisFunction("quadratic", (lambda t: t * t,)),
-        BasisFunction("sine", (lambda t: np.sin(t * t),)),
-        BasisFunction("cubic", (lambda t: t ** 3,)),
+        BasisFunction("quadratic", (on_x(lambda x: x * x),)),
+        BasisFunction("sine", (on_x(lambda x: np.sin(x * x)),)),
+        BasisFunction("cubic", (on_x(lambda x: x ** 3),)),
     ]
 
 
@@ -195,16 +196,16 @@ def check_order(m: int) -> None:
 def polynomial_basis(m: int) -> BasisFunction:
     """Full polynomial of order m: lead terms T_2, ..., T_m (none for m = 1).
 
-    T_j is the Chebyshev polynomial of the abscissa mapped affinely onto
-    [-1, 1].  With the line, T_2 ... T_m span what t^2 ... t^m span, but
-    their columns stay well conditioned where t^m spans orders of magnitude.
+    T_j is the Chebyshev polynomial of t mapped affinely onto [-1, 1].
+    With the line, T_2 ... T_m span what t^2 ... t^m span, but their
+    columns stay well conditioned where t^m spans orders of magnitude.
     """
     check_order(m)
     return BasisFunction(f"poly{m}", tuple(_chebyshev(j) for j in range(2, m + 1)))
 
 
 def _chebyshev(j: int) -> Callable[[np.ndarray], np.ndarray]:
-    """T_j of an ascending abscissa t mapped affinely onto [-1, 1], as cos(j arccos u)."""
+    """T_j of an ascending t mapped affinely onto [-1, 1], as cos(j arccos u)."""
     def lead(t: np.ndarray) -> np.ndarray:
         u = 2.0 * t
         u -= t[0] + t[-1]
@@ -229,7 +230,7 @@ def check_scale(s: int, bases: Sequence[BasisFunction]) -> None:
 
 
 class DesignFit:
-    """The least-squares directions of one scale (s, abscissa), for every basis.
+    """The least-squares directions of one scale s, for every basis of Q.
 
     B = [1/sqrt(s), e_t, W_1, W_2, ...] holds the constant, the centred line
     e_t, then each basis' W: an orthonormal basis (s, rank - 2) of the part
@@ -238,32 +239,34 @@ class DesignFit:
     segment must be longer than each basis has parameters (check_scale).
 
     Each lead term phi of a basis, in order, gives at most one column of
-    W_b: phi(t) less its mean, its projection on e_t and its projections on
-    the basis' earlier columns, all taken off twice, then normalised.  Once
-    leaves an error along them of about eps times |phi(t)| over the
-    remainder's norm, twice leaves eps ("twice is enough", Giraud, Langou &
-    Rozloznik, Comput. Math. Appl. 50, 2005).  A remainder of norm at most
-    s * eps * |phi(t)|, as of a phi that is zero, inside the line or inside
-    the basis' earlier terms, gives no column and flags the basis in
+    W_b: phi(t) on t = 1..s, less its mean, its projection on e_t and its
+    projections on the basis' earlier columns, all taken off twice, then
+    normalised.  Once leaves an error along them of about eps times |phi(t)|
+    over the remainder's norm, twice leaves eps ("twice is enough", Giraud,
+    Langou & Rozloznik, Comput. Math. Appl. 50, 2005).  A remainder of norm
+    at most s * eps * |phi(t)|, as of a phi that is zero, inside the line or
+    inside the basis' earlier terms, gives no column and flags the basis in
     ``rank_deficient``.  Every column is written straight into B, which is
     trimmed only after a rank-deficient basis.
     """
 
-    def __init__(self, s: int, bases: Sequence[BasisFunction], abscissa: str):
-        x = _abscissa(s, abscissa)
+    def __init__(self, s: int, bases: Sequence[BasisFunction]):
+        if not bases:
+            raise InputError("empty basis set")
         check_scale(s, bases)
+        t = np.arange(1, s + 1, dtype=float)
         B = np.empty((s, 2 + sum(len(basis.regressors) for basis in bases)))
-        t = np.arange(s) - (s - 1) / 2.0
+        c = np.arange(s) - (s - 1) / 2.0
         B[:, 0] = 1.0 / np.sqrt(s)
-        B[:, 1] = t / np.sqrt(t @ t)
-        del t                       # a column of its own in the peak, if kept
+        B[:, 1] = c / np.sqrt(c @ c)
+        del c                       # a column of its own in the peak, if kept
         e = B[:, 1]
         spans, rank_deficient = [], []
         end = 2
         for basis in bases:
             start = end
             for phi in basis.regressors:
-                w = phi(x)
+                w = phi(t)
                 size = np.sqrt(w @ w)
                 # the mean as w.mean() computes it, without its call overhead,
                 # taken off into a new array: phi(t) may be t itself
@@ -288,36 +291,19 @@ class DesignFit:
         self.rank_deficient = tuple(rank_deficient)
 
 
-@dataclass(frozen=True)
-class DetrendPolicy:
-    """Per-segment winner-takes-all over the basis set Q, by R^2 (Step 3).
-
-    Every basis of Q is fitted to every segment and the highest R^2 wins;
-    ties within TIE_EPS go to the earliest basis, which keeps runs
-    deterministic.  Classical MFDFA-m is the one-member set
-    ``(polynomial_basis(m),)``, whose only basis wins every segment.
-    """
-
-    bases: tuple[BasisFunction, ...] = field(default_factory=lambda: tuple(default_basis_set()))
-    abscissa: str = "raw"
-
-    def __post_init__(self):
-        if not self.bases:
-            raise InputError("empty basis set")
-
-
-def batch_segment_variances(segments: np.ndarray, policy: DetrendPolicy):
+def batch_segment_variances(segments: np.ndarray, bases: Sequence[BasisFunction]):
     """Detrended variance F^2 for a batch of segments (rows, possibly a
-    strided view of the profile).
+    strided view of the profile) under their best basis of Q (Step 3).
 
+    Every basis is fitted to every segment and the highest R^2 wins; ties
+    within TIE_EPS go to the earliest basis, which keeps runs deterministic.
     Returns (variances, chosen, rank_deficient): chosen holds the 0-based
-    winning basis index per segment, and rank_deficient flags each of the
-    policy's bases.  All segments share the scale's one DesignFit, so its
-    directions are built once per scale.  A segment whose total sum of
-    squares is not finite raises NumericalError: no R^2 can rank fits to it.
+    winning basis index per segment, and rank_deficient flags each basis.
+    All segments share the scale's one DesignFit.  A segment whose total sum
+    of squares is not finite raises NumericalError: no R^2 can rank fits to it.
     """
     M, s = segments.shape
-    design = DesignFit(s, policy.bases, policy.abscissa)
+    design = DesignFit(s, bases)
     fsq, chosen = np.empty(M), np.empty(M, dtype=np.intp)
     # two rows at least: a one-row block turns both products into
     # matrix-vector passes over all of B

@@ -1,7 +1,7 @@
 """Per-segment variances and the q-order fluctuation function.
 
 For each scale s the profile is cut into M partly overlapping segments,
-each segment is detrended per policy, and the detrended variances
+each segment is detrended by its best basis of Q, and the detrended variances
 
     F^2(nu, s) = (1/s) sum_t (Y_t - trend_t)^2
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detrend import BLOCK_VALUES, DetrendPolicy, batch_segment_variances
+from .detrend import BLOCK_VALUES, BasisFunction, batch_segment_variances
 from .errors import InputError
 from .segmentation import layout
 
@@ -75,11 +75,11 @@ class FluctuationSurface:
     excluded_counts: np.ndarray           # zero-variance segments per scale
     usable: np.ndarray                    # per-scale: any positive variance at all
     selection_counts: np.ndarray          # (n_scales, |Q|): segments each basis won
-    basis_names: tuple[str, ...]          # the policy's bases, in order
+    basis_names: tuple[str, ...]          # Q's bases, in order
     rank_deficient: np.ndarray            # (n_scales, |Q|): design rank below its parameters
 
 
-def fluctuation_function(profile, scales, k: int, policy: DetrendPolicy,
+def fluctuation_function(profile, scales, k: int, bases: tuple[BasisFunction, ...],
                          q_grid) -> FluctuationSurface:
     """Steps 2-4: segment, detrend, and aggregate over the scale grid.
 
@@ -97,11 +97,9 @@ def fluctuation_function(profile, scales, k: int, policy: DetrendPolicy,
     y = np.asarray(profile, dtype=float)
     scales = np.asarray(scales, dtype=int)
     q = np.asarray(q_grid, dtype=float)
-    if q.size == 0 or np.any(np.diff(q) <= 0):
-        raise InputError("q grid must be non-empty and strictly increasing")
 
     q_nz = np.flatnonzero(q != 0.0)
-    names = tuple(b.name for b in policy.bases)
+    names = tuple(b.name for b in bases)
     n_bases = len(names)
     values = np.full((q.size, scales.size), np.nan)
     seg_counts = np.zeros(scales.size, dtype=int)
@@ -112,7 +110,7 @@ def fluctuation_function(profile, scales, k: int, policy: DetrendPolicy,
 
     for j, s in enumerate(scales):
         segments = layout(y, int(s), k)
-        fsq, chosen, rank_deficient[j] = batch_segment_variances(segments, policy)
+        fsq, chosen, rank_deficient[j] = batch_segment_variances(segments, bases)
         seg_counts[j] = len(segments)
         sel_counts[j] = np.bincount(chosen, minlength=n_bases)
 

@@ -37,6 +37,9 @@ class FbmSpec:
             raise InputError(f"Hurst exponent must lie strictly in (0, 1), got {self.hurst}")
         if self.length < 2:
             raise InputError(f"length must be >= 2, got {self.length}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise InputError(f"seed must be a non-negative integer, got {seed!r}")
         if self.output not in ("increments", "path"):
             raise InputError(f"output must be 'increments' or 'path', got {self.output!r}")
 

@@ -15,15 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detrend import ABSCISSAS, DetrendPolicy, check_order, check_scale, polynomial_basis
+from .detrend import (BasisFunction, check_abscissa, check_order, check_scale,
+                      default_basis_set, polynomial_basis)
 from .errors import InputError, NumericalError
 from .fluctuation import FluctuationSurface, default_q_grid, fluctuation_function
-from .segmentation import default_scale_grid
+from .segmentation import check_grid, check_overlap, default_scale_grid
 from .signal import as_series, build_profile
 from .spectrum import (GeneralizedHurst, SingularitySpectrum, check_q_grid, fit_hurst,
                        legendre_transform)
 
 METHODS = ("mfdfa", "mfdfa_overlap", "mffdfa")
+
+#: a series whose peak |x| lies outside [2^-64, 2^64] runs scaled to a peak in [1/2, 1)
+MAGNITUDE_BAND = 64
 
 #: per annotation: how an error names it, the values it accepts (NumPy scalars
 #: among them; bool, an int to Python, is refused apart) and the type stored
@@ -63,33 +67,27 @@ class AnalysisConfig:
             object.__setattr__(self, f.name, plain(value))
         if self.method not in METHODS:
             raise InputError(f"unknown method {self.method!r}; pick one of {METHODS}")
-        if self.abscissa not in ABSCISSAS:
-            raise InputError(f"abscissa must be one of {ABSCISSAS}, got {self.abscissa!r}")
+        check_abscissa(self.abscissa)
         check_order(self.m)
-        if self.k < 1:
-            raise InputError(f"overlap factor k={self.k} must be at least 1")
+        check_grid(self.s_min, self.s_max, self.n_scales)
+        check_overlap(self.s_min, self.k)   # under every method; s_min is the smallest scale
         if self.method == "mfdfa":
             object.__setattr__(self, "k", 1)
         if self.fit_lo is not None and self.fit_hi is not None and self.fit_lo > self.fit_hi:
             raise InputError(f"fit window [{self.fit_lo}, {self.fit_hi}] is inverted; "
                              "need fit_lo <= fit_hi")
         check_q_grid(default_q_grid(self.q_min, self.q_max, self.q_step))
-        # s_min is the grid's smallest scale
-        check_scale(self.s_min, self.policy().bases)
+        check_scale(self.s_min, self.bases())
 
-    def policy(self) -> DetrendPolicy:
-        """The default Q under mffdfa; the one-member Q = {poly_m} otherwise."""
+    def bases(self) -> tuple[BasisFunction, ...]:
+        """The default Q on the abscissa under mffdfa; the one-member Q = {poly_m} otherwise."""
         if self.method == "mffdfa":
-            return DetrendPolicy(abscissa=self.abscissa)
-        return DetrendPolicy((polynomial_basis(self.m),), self.abscissa)
+            return tuple(default_basis_set(self.abscissa))
+        return (polynomial_basis(self.m),)
 
     def resolved(self, N: int, scales) -> dict:
         """The fields as run: the grid's largest scale, and N."""
         return dict(dataclasses.asdict(self), s_max=int(scales[-1]), N=N)
-
-    def fit_range(self):
-        return (self.fit_lo if self.fit_lo is not None else 0,
-                self.fit_hi if self.fit_hi is not None else np.inf)
 
 
 @dataclass(frozen=True)
@@ -109,23 +107,21 @@ class ResultDocument:
         return dict(zip(self.surface.basis_names, (totals / totals.sum()).tolist()))
 
     def to_dict(self) -> dict:
+        surface = self.surface
+
+        def per_basis(table):           # (n_scales, |Q|) -> one list per basis name
+            return {name: col.tolist() for name, col in zip(surface.basis_names, table.T)}
         diagnostics = {
-            "scales": self.surface.scales.tolist(),
-            "segment_counts": self.surface.segment_counts.tolist(),
-            "excluded_counts": self.surface.excluded_counts.tolist(),
-            "usable_scales": int(self.surface.usable.sum()),
-            "rank_deficient": {
-                name: col.tolist()
-                for name, col in zip(self.surface.basis_names, self.surface.rank_deficient.T)
-            },
+            "scales": surface.scales.tolist(),
+            "segment_counts": surface.segment_counts.tolist(),
+            "excluded_counts": surface.excluded_counts.tolist(),
+            "usable_scales": int(surface.usable.sum()),
+            "rank_deficient": per_basis(surface.rank_deficient),
         }
         sel = self.selection_fractions()
         if sel:
             diagnostics["selection_fractions"] = sel
-            diagnostics["selection_counts"] = {
-                name: col.tolist()
-                for name, col in zip(self.surface.basis_names, self.surface.selection_counts.T)
-            }
+            diagnostics["selection_counts"] = per_basis(surface.selection_counts)
         return {
             "config": self.config,
             "hurst": {
@@ -165,13 +161,18 @@ class ResultDocument:
 
 
 def analyze_series(x, config: AnalysisConfig) -> ResultDocument:
-    """Run one series through the whole pipeline under ``config``."""
+    """Run one series through the whole pipeline under ``config``; outside
+    MAGNITUDE_BAND, on the exact x 2^-e for the exponent e of its peak."""
     x = as_series(x)
-    if np.ptp(x) == 0.0:
+    top, bottom = x.max(), x.min()
+    if top == bottom:
         raise NumericalError("degenerate series: zero variance")
-    profile = build_profile(x)
+    e = int(np.frexp(max(top, -bottom))[1])
+    e = 0 if abs(e) <= MAGNITUDE_BAND else e    # inside the band the series runs as it is
+    profile = build_profile(np.ldexp(x, -e) if e else x)
     scales = default_scale_grid(x.size, config.s_min, config.s_max, config.n_scales)
-    lo, hi = config.fit_range()
+    lo = config.fit_lo if config.fit_lo is not None else 0
+    hi = config.fit_hi if config.fit_hi is not None else np.inf
     in_window = int(np.count_nonzero((scales >= lo) & (scales <= hi)))
     if in_window < 4:
         where = ("the grid holds " if in_window == scales.size else
@@ -179,8 +180,12 @@ def analyze_series(x, config: AnalysisConfig) -> ResultDocument:
         raise InputError(f"{where}{scales.size} distinct scales in [{scales[0]}, {scales[-1]}] "
                          f"(n_scales={config.n_scales}); the h(q) regression needs at least 4")
     q = default_q_grid(config.q_min, config.q_max, config.q_step)
-    surface = fluctuation_function(profile, scales, config.k, config.policy(), q)
+    surface = fluctuation_function(profile, scales, config.k, config.bases(), q)
     hurst = fit_hurst(surface, s_range=(lo, hi))
     spec = legendre_transform(hurst)
+    # undo the scaling, exactly where representable (inf past the largest double)
+    with np.errstate(over="ignore"):
+        surface = dataclasses.replace(surface, values=np.ldexp(surface.values, e))
+    hurst = dataclasses.replace(hurst, intercepts=hurst.intercepts + e * np.log(2.0))
     return ResultDocument(config=config.resolved(x.size, scales), hurst=hurst,
                           spectrum=spec, surface=surface)

@@ -14,6 +14,15 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import InputError
 
 
+def check_overlap(s: int, k: int) -> None:
+    """Refuse an overlap factor k outside [1, s], which leaves no stride floor(s/k)."""
+    if k < 1:
+        raise InputError(f"overlap factor k={k} must be at least 1")
+    if k > s:
+        raise InputError(f"scale s={s} is shorter than the overlap factor k={k}; "
+                         "raise s_min or lower k")
+
+
 def layout(profile: np.ndarray, s: int, k: int) -> np.ndarray:
     """The M_{s_k} windows of length s over the profile, as an (M, s) view.
 
@@ -22,16 +31,20 @@ def layout(profile: np.ndarray, s: int, k: int) -> np.ndarray:
     The rows are a read-only strided view: nothing of the profile is copied.
     """
     N = len(profile)
-    if s < 1 or k < 1:
-        raise InputError("layout arguments must be positive")
     if s > N:
         raise InputError(f"scale s={s} exceeds series length N={N}")
-    if k > s:
-        raise InputError(f"scale s={s} is shorter than the overlap factor k={k}; "
-                         "raise s_min or lower k")
+    check_overlap(s, k)
     step = profile.strides[0]
     return as_strided(profile, shape=((N - s) // (s // k) + 1, s),
                       strides=(s // k * step, step), writeable=False)
+
+
+def check_grid(s_min: int, s_max: int | None, n_scales: int, N: int | None = None) -> None:
+    """Refuse a grid of no scales; an s_max or N of None is not known yet."""
+    if not (n_scales >= 1 and 1 <= s_min and (s_max is None or s_min < s_max)
+            and (N is None or s_max <= N)):
+        raise InputError(f"need n_scales >= 1 and 1 <= s_min < s_max <= N, got "
+                         f"n_scales={n_scales} s_min={s_min} s_max={s_max} N={N}")
 
 
 def default_scale_grid(N: int, s_min: int = 30, s_max: int | None = None,
@@ -43,9 +56,7 @@ def default_scale_grid(N: int, s_min: int = 30, s_max: int | None = None,
     """
     if s_max is None:
         s_max = N // 10
-    if not (n_scales >= 1 and 1 <= s_min < s_max <= N):
-        raise InputError(f"need n_scales >= 1 and 1 <= s_min < s_max <= N, got "
-                         f"n_scales={n_scales} s_min={s_min} s_max={s_max} N={N}")
+    check_grid(s_min, s_max, n_scales, N)
     # sort and drop repeats; np.unique would load numpy.ma on first use
     grid = np.sort(np.rint(np.geomspace(s_min, s_max, n_scales)).astype(int))
     return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]

@@ -73,9 +73,11 @@ def fit_hurst(surface: FluctuationSurface, s_range: tuple[float, float] | None =
 
 
 def check_q_grid(q: np.ndarray) -> None:
-    """The q grid, a setting, needs 3 nodes for the Legendre step to difference h(q)."""
+    """The Legendre step differences h(q): the q grid needs 3 nodes, strictly increasing."""
     if q.size < 3:
         raise InputError(f"q grid of {q.size} nodes too short for finite differences (need 3)")
+    if not np.all(np.diff(q) > 0):
+        raise InputError("q grid must be strictly increasing")
 
 
 def legendre_transform(hurst: GeneralizedHurst) -> SingularitySpectrum:

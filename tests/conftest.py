@@ -39,9 +39,9 @@ def fgn_bank():
     return _fgn_cached
 
 
-def _fit_one(segment, basis, abscissa="raw"):
+def _fit_one(segment, basis):
     y = np.asarray(segment, dtype=float)
-    design = DesignFit(y.size, [basis], abscissa)
+    design = DesignFit(y.size, [basis])
     ss_res, ss_tot, floor, R = _kernel(y[None, :], design)
     _remove_span(R, design.B[:, design.spans[0]])
     return SimpleNamespace(

@@ -129,14 +129,15 @@ def normal_equations_fitted(columns, y, dps=40):
 
 def design(basis, s, abscissa="raw"):
     """A basis' design matrix (s, parameter_count): columns phi_1 ... phi_p,
-    t, 1 on the abscissa t = 1..s, or t/s under "normalized"."""
+    t, 1 on t = 1..s, which ``DesignFit`` hands every lead term, or on t/s
+    under "normalized"."""
     t = np.arange(1, s + 1, dtype=float)
     if abscissa == "normalized":
         t /= s
     return np.column_stack([phi(t) for phi in basis.regressors] + [t, np.ones(s)])
 
 
-def design_svd(s, bases, abscissa):
+def design_svd(s, bases):
     """A scale's design built with two SVDs per basis, as (B, spans,
     rank_deficient) in ``DesignFit``'s layout.
 
@@ -149,7 +150,7 @@ def design_svd(s, bases, abscissa):
     frame = np.column_stack([np.full(s, 1.0 / np.sqrt(s)), t / np.sqrt(t @ t)])
     Ws, rank_deficient = [], []
     for basis in bases:
-        A = design(basis, s, abscissa)
+        A = design(basis, s)
         norms = np.sqrt(np.einsum("ij,ij->j", A, A))
         norms[norms == 0.0] = 1.0
         A /= norms

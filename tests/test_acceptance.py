@@ -13,7 +13,6 @@ import pytest
 
 from mffdfa import (
     CascadeSpec,
-    DetrendPolicy,
     build_profile,
     cascade_oracle,
     default_basis_set,
@@ -55,7 +54,7 @@ def test_a1_classical_reduction(report):
         scales = default_scale_grid(N, 16, max(N // 10, 64), 8)
         for m in (1, 2, 3):
             surface = fluctuation_function(build_profile(x), scales, 1,
-                                           DetrendPolicy((polynomial_basis(m),)), q)
+                                           (polynomial_basis(m),), q)
             ref = oracles.textbook_mfdfa(x, scales, q, m)
             assert np.all(np.isfinite(surface.values))
             worst = max(worst, float(np.max(np.abs(surface.values / ref - 1.0))))
@@ -82,7 +81,7 @@ def test_a2_monofractal_fgn(report, fgn_bank):
         h2s, widths = [], []
         for seed in range(10):
             profile = build_profile(fgn_bank(H, 10_000, seed))
-            surface = fluctuation_function(profile, scales, 2, DetrendPolicy(), q)
+            surface = fluctuation_function(profile, scales, 2, tuple(default_basis_set()), q)
             hurst = fit_hurst(surface)
             spec = legendre_transform(hurst)
             h2s.append(_h_at(hurst, 2.0))
@@ -126,7 +125,7 @@ def cascade_runs():
     for a in (0.55, 0.65, 0.8):
         t0 = time.perf_counter()
         profile = build_profile(generate_cascade(CascadeSpec(a=a, n_max=17)))
-        surface = fluctuation_function(profile, scales, 1, DetrendPolicy(), q)
+        surface = fluctuation_function(profile, scales, 1, tuple(default_basis_set()), q)
         hurst = fit_hurst(surface)
         out[a] = (hurst, legendre_transform(hurst), time.perf_counter() - t0)
     return out
@@ -198,8 +197,8 @@ def test_a6_structural_invariants(report, fgn_bank):
     x = fgn_bank(0.5, 10_000, 0)[:4000]
     scales = default_scale_grid(4000, 20, 400, 10)
     worst_mono = np.inf
-    for policy in (DetrendPolicy((polynomial_basis(2),)), DetrendPolicy()):
-        surface = fluctuation_function(build_profile(x), scales, 2, policy, q)
+    for bases in ((polynomial_basis(2),), tuple(default_basis_set())):
+        surface = fluctuation_function(build_profile(x), scales, 2, bases, q)
         assert int(surface.excluded_counts.sum()) == 0
         worst_mono = min(worst_mono,
                          float(np.min(np.diff(np.log(surface.values), axis=0))))
@@ -212,7 +211,7 @@ def test_a6_structural_invariants(report, fgn_bank):
     runs = []
     for factor in (1.0, 1000.0):
         surface = fluctuation_function(build_profile(factor * x), scales, 2,
-                                       DetrendPolicy(), qd)
+                                       tuple(default_basis_set()), qd)
         hurst = fit_hurst(surface)
         runs.append((hurst, legendre_transform(hurst)))
     (h_a, s_a), (h_b, s_b) = runs
@@ -267,7 +266,7 @@ def test_a7_m_sweep_trends(report, fgn_bank):
     for k in (1, 2):
         H = np.array([
             fit_hurst(fluctuation_function(profile, scales, k,
-                                           DetrendPolicy((polynomial_basis(m),)), q2)).h[0]
+                                           (polynomial_basis(m),), q2)).h[0]
             for m in range(1, 11)
         ])
         slopes[k] = float(np.polyfit(np.arange(4, 11), H[3:], 1)[0])
@@ -283,7 +282,7 @@ def test_a7_m_sweep_trends(report, fgn_bank):
             prof = build_profile(fgn_bank(0.9, 10_000, seed))
             for mi, m in enumerate(range(1, 6)):
                 hurst = fit_hurst(fluctuation_function(prof, scales, k,
-                                                       DetrendPolicy((polynomial_basis(m),)), q2))
+                                                       (polynomial_basis(m),), q2))
                 errs[seed, mi] = abs(hurst.h[0] - 0.9)
         mad[k] = errs.mean(axis=0)
     fgn_ok = bool(np.all(mad[2] < mad[1]))

@@ -147,15 +147,18 @@ def test_failed_run_leaves_output_alone(tmp_path, capsys, content, code):
     assert not absent.exists()
 
 
-def test_overflowing_input_exits_three(tmp_path, capsys, fgn_bank):
+def test_huge_input_analyses_as_the_unscaled_one(tmp_path, capsys, fgn_bank):
+    """A series whose segment sums of squares would overflow is analysed at
+    unit magnitude: the same h and width as the series scaled down."""
+    x = fgn_bank(0.7, 10_000, 0)
     src = tmp_path / "x.csv"
-    _write_series(src, fgn_bank(0.7, 10_000, 0) * 1e154)
-    kept = tmp_path / "kept.json"
-    kept.write_text("earlier result\n")
-    assert main(["analyze", str(src), "-o", str(kept)]) == 3
-    assert capsys.readouterr().err == ("error: numerical: segment sum of squares "
-                                       "overflows at scale s=30; rescale the input\n")
-    assert kept.read_text() == "earlier result\n"
+    _write_series(src, x * 1e154)
+    assert main(["analyze", str(src)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    ref = analyze_series(x, AnalysisConfig())
+    np.testing.assert_allclose(doc["hurst"]["h"], ref.hurst.h, rtol=0, atol=1e-12)
+    assert doc["delta_alpha"] == pytest.approx(ref.spectrum.delta_alpha, rel=0, abs=1e-11)
+    assert doc["diagnostics"]["usable_scales"] == 30
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -208,8 +211,15 @@ def input_not_read(monkeypatch):
      "segment length 4 not above the 4 parameters of basis 'poly3'; raise s_min"),
     (["sweep-m", "--s-min", "4"],
      "segment length 4 not above the 4 parameters of basis 'poly3'; raise s_min"),
+    (["analyze", "--n-scales", "0"],
+     "need n_scales >= 1 and 1 <= s_min < s_max <= N, got n_scales=0 s_min=30 s_max=None N=None"),
+    (["analyze", "--s-max", "20"],
+     "need n_scales >= 1 and 1 <= s_min < s_max <= N, got n_scales=30 s_min=30 s_max=20 N=None"),
+    (["analyze", "--k", "10", "--s-min", "5"],
+     "scale s=5 is shorter than the overlap factor k=10; raise s_min or lower k"),
 ], ids=["q-step", "two-node-grid", "k", "fit-window", "config-type",
-        "m-min", "m-max", "m-range", "s-min", "sweep-s-min"])
+        "m-min", "m-max", "m-range", "s-min", "sweep-s-min",
+        "n-scales", "s-max", "k-above-s-min"])
 @pytest.mark.usefixtures("input_not_read")
 def test_bad_request_refused_before_the_input_is_read(tmp_path, capsys, argv, message):
     cfg = tmp_path / "cfg.json"
@@ -490,6 +500,16 @@ def test_generate_white_noise_writes_the_normal_draws(tmp_path):
     assert read_series(str(out)).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("seed", ["-1", "-20"])
+def test_generate_negative_seed_exits_two(tmp_path, capsys, seed):
+    out = tmp_path / "x.csv"
+    assert main(["generate", "fgn", "--hurst", "0.7", "--length", "20",
+                 "--seed", seed, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: input: seed must be a non-negative "
+                                       f"integer, got {seed}\n")
+    assert not out.exists()
+
+
 def test_generate_missing_parameters_exit_two(capsys):
     assert main(["generate", "cascade", "--a", "0.65"]) == 2
     assert main(["generate", "fgn", "--hurst", "0.5"]) == 2
@@ -737,6 +757,19 @@ def test_oracle_table_values(capsys):
     assert table["alpha"][i0] == pytest.approx(1.06803, abs=5e-6)
     assert table["f_alpha"][i0] == pytest.approx(1.0, abs=1e-12)
     assert table["h"][i0] == table["alpha"][i0]
+
+
+def test_oracle_csv_table_is_the_json_table(capsys):
+    assert main(["oracle", "--a", "0.65", "--q-step", "0.5"]) == 0
+    table = json.loads(capsys.readouterr().out)["table"]
+    assert main(["oracle", "--a", "0.65", "--q-step", "0.5", "--format", "csv"]) == 0
+    comment, header, *rows = capsys.readouterr().out.splitlines()
+    assert comment == "# cascade oracle a=0.65"
+    assert header == "q,tau,alpha,f_alpha,h"
+    columns = np.array([[float(v) for v in row.split(",")] for row in rows]).T
+    assert columns.shape == (5, 41)
+    for name, column in zip(header.split(","), columns):
+        assert column.tolist() == table[name], name
 
 
 def test_oracle_non_finite_q_step_exits_two(capsys):

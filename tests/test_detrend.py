@@ -1,3 +1,5 @@
+import json
+import re
 import tracemalloc
 import warnings
 
@@ -9,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 
 from mffdfa import (
     AnalysisConfig,
-    DetrendPolicy,
     InputError,
     NumericalError,
     analyze_series,
@@ -88,7 +89,7 @@ def test_lead_terms_inside_the_line_add_no_direction(fit_one, rng):
     from mffdfa import BasisFunction
     # a rank-deficient design whose span is exactly {1, t}
     dup = BasisFunction("dup", (lambda t: 2 * t,))
-    design = DesignFit(20, [dup], "raw")
+    design = DesignFit(20, [dup])
     assert design.rank_deficient == (True,) and design.B.shape == (20, 2)
     # a basis that lists t and 1 among its lead terms fits as the one that
     # does not, and is flagged
@@ -97,7 +98,7 @@ def test_lead_terms_inside_the_line_add_no_direction(fit_one, rng):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fit_listed = fit_one(y, listed)
-        assert DesignFit(30, [listed], "raw").B.shape == (30, 3)
+        assert DesignFit(30, [listed]).B.shape == (30, 3)
     fit_lead = fit_one(y, default_basis_set()[0])
     assert fit_listed.rank_deficient and not fit_lead.rank_deficient
     np.testing.assert_allclose(fit_listed.fitted, fit_lead.fitted, atol=1e-9)
@@ -115,7 +116,8 @@ def test_fit_rejects_short_segment(fit_one):
 def _select(fit_one, segment):
     """The batched selection over the default Q on a one-row batch:
     (chosen index, that basis' fit)."""
-    _, (chosen,), _ = batch_segment_variances(np.asarray(segment)[None, :], DetrendPolicy())
+    _, (chosen,), _ = batch_segment_variances(np.asarray(segment)[None, :],
+                                              tuple(default_basis_set()))
     return int(chosen), fit_one(segment, default_basis_set()[chosen])
 
 
@@ -167,7 +169,7 @@ def test_selection_fractions_on_cascade_profile():
     prof = build_profile(generate_cascade(CascadeSpec(a=0.55, n_max=17)))
     scales = default_scale_grid(len(prof), 30, 1000)
     surface = fluctuation_function(
-        prof, scales, 2, DetrendPolicy(abscissa="normalized"), default_q_grid()
+        prof, scales, 2, default_basis_set("normalized"), default_q_grid()
     )
     frac = surface.selection_counts.sum(axis=0) / surface.segment_counts.sum()
     np.testing.assert_allclose(frac, [0.25, 0.45, 0.30], atol=0.15)
@@ -192,15 +194,15 @@ def test_bounded_floor_selects_as_the_row_floor(offset):
     Y = offset + g * np.sqrt(ratio * floor / np.einsum("ij,ij->i", g, g))[:, None]
     assert np.all(np.argmax(np.abs(Y), axis=1) == s - 1)
 
-    policy = DetrendPolicy()
-    ss_res, ss_tot, _, _ = _kernel(Y, DesignFit(s, policy.bases, policy.abscissa))
+    bases = tuple(default_basis_set())
+    ss_res, ss_tot, _, _ = _kernel(Y, DesignFit(s, bases))
     row_floor = _noise_floor(Y)
     above = ss_tot > row_floor
     assert 0.2 < above.mean() < 0.8
     expected = _best_basis(_r_squared(ss_tot, row_floor, ss_res))
     # rows above their floor pick by R^2, rows below tie and take basis 0
     assert np.any(expected[above] != 0) and np.all(expected[~above] == 0)
-    _, chosen, _ = batch_segment_variances(Y, policy)
+    _, chosen, _ = batch_segment_variances(Y, bases)
     np.testing.assert_array_equal(chosen, expected)
 
 
@@ -226,10 +228,9 @@ def test_blocks_select_as_the_whole_batch():
                       level * (1.0 + 1e-13 * rng.standard_normal((40, s)))])
     Y = np.vstack([walks, cubics, flat])
     Y = Y[rng.permutation(len(Y))]
-    policy = DetrendPolicy(tuple(default_basis_set())
-                           + (BasisFunction("line-again", (lambda t: 2.0 * t,)),))
+    bases = tuple(default_basis_set()) + (BasisFunction("line-again", (lambda t: 2.0 * t,)),)
 
-    design = DesignFit(s, policy.bases, policy.abscissa)
+    design = DesignFit(s, bases)
     sums = [_kernel(Y[i:i + rows], design)[:3] for i in range(0, len(Y), rows)]
     ss_res, ss_tot, floor = (np.concatenate(part, axis=-1) for part in zip(*sums))
     # the last basis adds no direction, so its ss_res is the linear residual
@@ -239,7 +240,7 @@ def test_blocks_select_as_the_whole_batch():
     assert np.count_nonzero(ss_tot <= floor) >= 40
     expected = _best_basis(_r_squared(ss_tot, floor, ss_res))
 
-    fsq, chosen, rank_deficient = batch_segment_variances(Y, policy)
+    fsq, chosen, rank_deficient = batch_segment_variances(Y, bases)
     assert rank_deficient == (False, False, False, True)
     np.testing.assert_array_equal(chosen, expected)
     assert fsq.tobytes() == (ss_res[expected, np.arange(len(Y))] / s).tobytes()
@@ -251,18 +252,43 @@ def test_overflowing_line_is_refused_not_ranked():
     t = np.arange(1.0, 101.0)
     segment = (6.93e151 * t + 2.6e144 * t ** 3)[None, :]
     with pytest.raises(NumericalError, match="at scale s=100"):
-        batch_segment_variances(segment, DetrendPolicy())
-    _, chosen, _ = batch_segment_variances(segment * 2.0 ** -8, DetrendPolicy())
+        batch_segment_variances(segment, tuple(default_basis_set()))
+    _, chosen, _ = batch_segment_variances(segment * 2.0 ** -8, tuple(default_basis_set()))
     assert chosen.tolist() == [2]  # the cubic, as the segment is built
 
 
-def test_overflowing_series_is_refused_and_large_ones_keep_their_selection(fgn_bank):
+def test_huge_series_keep_their_selection(fgn_bank):
+    """A series whose segment sums of squares would overflow, scaled by a
+    factor that is not a power of two, selects as the unscaled series does."""
     x = fgn_bank(0.7, 10_000, 0)
-    with pytest.raises(NumericalError, match="at scale s=30"):
-        analyze_series(x * 1e154, AnalysisConfig())
-    counts = [analyze_series(x * c, AnalysisConfig()).surface.selection_counts
-              for c in (1.0, 2.0 ** 500)]
-    np.testing.assert_array_equal(*counts)
+    ref = analyze_series(x, AnalysisConfig())
+    for c in (2.0 ** 500, 1e154):
+        doc = analyze_series(x * c, AnalysisConfig())
+        np.testing.assert_array_equal(doc.surface.selection_counts, ref.surface.selection_counts)
+        np.testing.assert_allclose(doc.hurst.h, ref.hurst.h, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("hurst", [0.5, 0.7])
+def test_same_answer_at_every_magnitude(fgn_bank, hurst):
+    """x 2^k analyses as x does, for peaks from about 2^-1000 to 2^1000: h
+    and the width agree to rounding, every basis wins as many segments, all
+    30 scales stay usable, F_q(s) scales with 2^k and the intercepts move
+    by k ln 2."""
+    x = fgn_bank(hurst, 10_000, 0)
+    ref = analyze_series(x, AnalysisConfig())
+    for k in (-1000, -540, 300, 505, 1000):
+        doc = analyze_series(np.ldexp(x, k), AnalysisConfig())
+        assert doc.surface.usable.all() and doc.surface.scales.size == 30, k
+        np.testing.assert_array_equal(doc.surface.selection_counts,
+                                      ref.surface.selection_counts, err_msg=f"k={k}")
+        np.testing.assert_allclose(doc.hurst.h, ref.hurst.h, rtol=0, atol=1e-14,
+                                   err_msg=f"k={k}")
+        assert doc.spectrum.delta_alpha == pytest.approx(ref.spectrum.delta_alpha,
+                                                         rel=0, abs=1e-12), k
+        np.testing.assert_allclose(doc.surface.values, np.ldexp(ref.surface.values, k),
+                                   rtol=1e-13, err_msg=f"k={k}")
+        np.testing.assert_allclose(doc.hurst.intercepts, ref.hurst.intercepts + k * np.log(2.0),
+                                   rtol=0, atol=1e-12, err_msg=f"k={k}")
 
 
 def test_designs_hold_each_direction_once():
@@ -270,12 +296,12 @@ def test_designs_hold_each_direction_once():
     Q's order, equal to the ones a design of that basis alone holds."""
     s = 50
     bases = default_basis_set()
-    design = DesignFit(s, bases, "raw")
+    design = DesignFit(s, bases)
     assert design.B.shape == (s, 5) and design.B.flags.c_contiguous
     assert design.spans == (slice(2, 3), slice(3, 4), slice(4, 5))
     assert design.rank_deficient == (False, False, False)
     for basis, cols in zip(bases, design.spans):
-        alone = DesignFit(s, [basis], "raw")
+        alone = DesignFit(s, [basis])
         np.testing.assert_array_equal(design.B[:, :2], alone.B[:, :2])
         np.testing.assert_array_equal(design.B[:, cols], alone.B[:, alone.spans[0]])
 
@@ -290,7 +316,7 @@ def test_design_memory_is_its_five_columns():
     bases = default_basis_set()
     tracemalloc.start()
     try:
-        design = DesignFit(s, bases, "raw")
+        design = DesignFit(s, bases)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -301,12 +327,24 @@ def test_design_memory_is_its_five_columns():
 
 
 
-#: basis sets by name: the default Q, every fixed order and a custom basis
-#: of two lead terms
+def _written_on(abscissa, bases):
+    """The bases with every lead term taken on x = t/s under "normalized", as
+    a custom basis written for t/s divides t by t[-1] itself."""
+    if abscissa == "raw":
+        return list(bases)
+    return [BasisFunction(b.name, tuple((lambda t, phi=phi: phi(t / t[-1]))
+                                        for phi in b.regressors))
+            for b in bases]
+
+
+#: basis sets by name, each on an abscissa: the default Q, every fixed order
+#: and a custom basis of two lead terms
 BASIS_SETS = {
     "Q": default_basis_set,
-    **{f"poly{m}": (lambda m=m: [polynomial_basis(m)]) for m in range(1, M_MAX + 1)},
-    "two-term": lambda: [BasisFunction("two-term", (lambda t: np.sin(t * t), lambda t: t ** 3))],
+    **{f"poly{m}": (lambda abscissa, m=m: _written_on(abscissa, [polynomial_basis(m)]))
+       for m in range(1, M_MAX + 1)},
+    "two-term": lambda abscissa: _written_on(abscissa, [
+        BasisFunction("two-term", (lambda t: np.sin(t * t), lambda t: t ** 3))]),
 }
 
 #: the basis sets whose every basis has at most one lead term
@@ -320,12 +358,12 @@ def _principal_gap(Q1, Q2):
     return np.linalg.norm(Q2 - Q1 @ (Q1.T @ Q2), 2)
 
 
-def _assert_spans_the_svd_reference(s, bases, abscissa):
+def _assert_spans_the_svd_reference(s, bases):
     """Each basis' [frame, W_b] spans what the two-SVD construction spans
     and is orthonormal, with the reference's spans and rank_deficient.  The
     W of different bases need not be orthogonal to one another."""
-    design = DesignFit(s, bases, abscissa)
-    B, spans, rank_deficient = oracles.design_svd(s, bases, abscissa)
+    design = DesignFit(s, bases)
+    B, spans, rank_deficient = oracles.design_svd(s, bases)
     assert design.spans == spans and design.rank_deficient == rank_deficient
     for cols in spans:
         ours = np.hstack([design.B[:, :2], design.B[:, cols]])
@@ -338,7 +376,7 @@ def _assert_spans_the_svd_reference(s, bases, abscissa):
 @pytest.mark.parametrize("s", [5, 30, 1000, 2 ** 17])
 @pytest.mark.parametrize("name", ONE_TERM_SETS)
 def test_one_term_directions_match_the_svd_reference(name, s, abscissa):
-    _assert_spans_the_svd_reference(s, ONE_TERM_SETS[name](), abscissa)
+    _assert_spans_the_svd_reference(s, ONE_TERM_SETS[name](abscissa))
 
 
 @pytest.mark.parametrize("name", BASIS_SETS)
@@ -347,9 +385,9 @@ def test_one_term_bases_take_no_svd(monkeypatch, name):
     def no_svd(*args, **kwargs):
         raise AssertionError("an SVD ran for a design")
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    bases = BASIS_SETS[name]()
     for abscissa in ABSCISSAS:
-        design = DesignFit(1000, bases, abscissa)
+        bases = BASIS_SETS[name](abscissa)
+        design = DesignFit(1000, bases)
         assert design.B.shape == (1000, 2 + sum(len(b.regressors) for b in bases))
 
 
@@ -359,7 +397,7 @@ def test_many_term_bases_keep_the_svd_directions(m):
     the two SVDs of its column-scaled monomial design span."""
     for abscissa in ABSCISSAS:
         for s in (m + 2, 200, 2 ** 16 + 3):
-            _assert_spans_the_svd_reference(s, [polynomial_basis(m)], abscissa)
+            _assert_spans_the_svd_reference(s, _written_on(abscissa, [polynomial_basis(m)]))
 
 
 @pytest.mark.parametrize("abscissa", ABSCISSAS)
@@ -367,9 +405,9 @@ def test_polynomial_directions_nest(abscissa):
     """poly m's B is the first m + 1 columns of poly10's, to the bit: each
     order adds one direction and leaves the lower ones as they were."""
     for s in (12, 30, 1000, 2 ** 16 + 3):
-        top = DesignFit(s, [polynomial_basis(M_MAX)], abscissa).B
+        top = DesignFit(s, _written_on(abscissa, [polynomial_basis(M_MAX)])).B
         for m in range(1, M_MAX):
-            B = DesignFit(s, [polynomial_basis(m)], abscissa).B
+            B = DesignFit(s, _written_on(abscissa, [polynomial_basis(m)])).B
             assert B.tobytes() == np.ascontiguousarray(top[:, :m + 1]).tobytes()
 
 
@@ -392,23 +430,44 @@ def test_polynomial_lead_terms_are_chebyshev(s, abscissa):
                          ids=["zero", "2t", "3t+1"])
 @pytest.mark.parametrize("abscissa", ABSCISSAS)
 def test_lead_term_inside_the_line_is_flagged_without_a_warning(fit_one, rng, lead, abscissa):
-    basis = BasisFunction("in-line", (lead,))
+    (basis,) = _written_on(abscissa, [BasisFunction("in-line", (lead,))])
     y = rng.standard_normal(40)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        design = DesignFit(40, [basis], abscissa)
-        fit = fit_one(y, basis, abscissa)
+        design = DesignFit(40, [basis])
+        fit = fit_one(y, basis)
     assert design.rank_deficient == (True,) and design.spans == (slice(2, 2),)
-    np.testing.assert_array_equal(design.B, DesignFit(40, [polynomial_basis(1)], abscissa).B)
+    np.testing.assert_array_equal(design.B, DesignFit(40, [polynomial_basis(1)]).B)
     assert fit.rank_deficient
-    line = fit_one(y, polynomial_basis(1), abscissa)
+    line = fit_one(y, polynomial_basis(1))
     np.testing.assert_allclose(fit.fitted, line.fitted, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ONE_TERM_SETS)
 def test_design_refuses_an_unknown_abscissa(name):
-    with pytest.raises(InputError, match="abscissa must be one of"):
-        DesignFit(30, ONE_TERM_SETS[name](), "bogus")
+    """Q refuses to be written on an unknown abscissa, and a request refuses
+    one under every method, a fixed order's included."""
+    message = re.escape("abscissa must be one of ('raw', 'normalized'), got 'bogus'")
+    if name == "Q":
+        with pytest.raises(InputError, match=message):
+            default_basis_set("bogus")
+        config = {}
+    else:
+        config = {"method": "mfdfa", "m": int(name.removeprefix("poly"))}
+    with pytest.raises(InputError, match=message):
+        AnalysisConfig(abscissa="bogus", **config)
+
+
+@pytest.mark.parametrize("method, m", [("mfdfa", 1), ("mfdfa", 3), ("mfdfa_overlap", 10)])
+def test_fixed_order_output_does_not_depend_on_the_abscissa(fgn_bank, method, m):
+    """Polynomial lead terms always see t = 1..s: a fixed-order run writes
+    the same JSON under either abscissa, apart from the echoed setting."""
+    x = fgn_bank(0.7, 10_000, 0)
+    docs = {a: analyze_series(x, AnalysisConfig(method=method, m=m, abscissa=a)).to_dict()
+            for a in ABSCISSAS}
+    for abscissa, doc in docs.items():
+        assert doc["config"].pop("abscissa") == abscissa
+    assert json.dumps(docs["raw"]) == json.dumps(docs["normalized"])
 
 
 def test_default_basis_set_shape():
@@ -495,9 +554,10 @@ def segment_batches(draw):
 @given(segment_batches())
 @settings(max_examples=60)
 def test_row_alone_agrees_with_row_in_batch(batch):
-    variances, chosen, _ = batch_segment_variances(batch, DetrendPolicy())
+    bases = tuple(default_basis_set())
+    variances, chosen, _ = batch_segment_variances(batch, bases)
     for row, var, best in zip(batch, variances, chosen):
-        alone, (idx,), _ = batch_segment_variances(row[None, :], DetrendPolicy())
+        alone, (idx,), _ = batch_segment_variances(row[None, :], bases)
         assert idx == best
         # a variance at rounding level (constant rows) comes out of the
         # one-row and the many-row product rounded differently, by up to
@@ -519,17 +579,16 @@ def test_column_scaling_equivalence(fit_one, rng):
 
 def test_empty_basis_set_is_rejected():
     with pytest.raises(InputError, match="empty basis set"):
-        batch_segment_variances(np.ones((1, 10)), DetrendPolicy(()))
+        batch_segment_variances(np.ones((1, 10)), ())
 
 
-def _single_basis_policies():
-    """Every default basis on its own, and two fixed orders, as batch policies."""
-    bases = default_basis_set() + [polynomial_basis(m) for m in (1, 3)]
-    return [DetrendPolicy((b,)) for b in bases]
+def _single_bases():
+    """Every default basis on its own, and two fixed orders, as one-member sets."""
+    return [(b,) for b in default_basis_set() + [polynomial_basis(m) for m in (1, 3)]]
 
 
-def _batched_ss_res(segments, policy):
-    variances, _, _ = batch_segment_variances(segments, policy)
+def _batched_ss_res(segments, bases):
+    variances, _, _ = batch_segment_variances(segments, bases)
     return variances * segments.shape[1]
 
 
@@ -558,10 +617,10 @@ def test_ss_res_matches_extended_precision():
             cases.append((f"{name} s={s} view", segs))
     for label, segs in cases:
         s = segs.shape[1]
-        for policy in _single_basis_policies():
-            (basis,) = policy.bases
+        for bases in _single_bases():
+            (basis,) = bases
             ref = oracles.ss_res_extended(segs, oracles.design(basis, s)).astype(float)
-            np.testing.assert_allclose(_batched_ss_res(segs, policy), ref, rtol=1e-11,
+            np.testing.assert_allclose(_batched_ss_res(segs, bases), ref, rtol=1e-11,
                                        err_msg=f"{label} {basis.name}")
 
 
@@ -578,12 +637,12 @@ def test_near_exact_cubic_matches_extended_precision(rng):
     lines = rng.uniform(-1e-6, 1e-6, (40, 2)) @ np.stack([x, np.ones(s)])
     segs = a[:, None] * x ** 3 + lines + 1e-10 * rng.standard_normal((40, s))
     linear = oracles.ss_res_extended(segs, oracles.design(polynomial_basis(1), s)).astype(float)
-    for policy in _single_basis_policies():
-        (basis,) = policy.bases
+    for bases in _single_bases():
+        (basis,) = bases
         ref = oracles.ss_res_extended(segs, oracles.design(basis, s)).astype(float)
         if basis.name in ("cubic", "poly3"):
             assert np.all(ref < RESIDUAL_GUARD * linear)
-        np.testing.assert_allclose(_batched_ss_res(segs, policy), ref, rtol=1e-11,
+        np.testing.assert_allclose(_batched_ss_res(segs, bases), ref, rtol=1e-11,
                                    err_msg=basis.name)
 
 
@@ -599,11 +658,11 @@ def test_high_orders_match_extended_precision(m):
     rng = np.random.default_rng(21)
     profiles = {"cascade": build_profile(generate_cascade(CascadeSpec(a=0.65, n_max=17))),
                 "fgn": build_profile(generate_fgn(FbmSpec(hurst=0.5, length=100_000, seed=0)))}
-    policy = DetrendPolicy((polynomial_basis(m),))
+    bases = (polynomial_basis(m),)
     for name, profile in profiles.items():
         for s in (30, 122, 1000, 10_000):
             starts = rng.integers(0, profile.size - s + 1, 16 if s == 10_000 else 100)
             segs = profile[starts[:, None] + np.arange(s)]
             ref = oracles.ss_res_polynomial(segs, m).astype(float)
-            np.testing.assert_allclose(_batched_ss_res(segs, policy), ref, rtol=1e-11,
+            np.testing.assert_allclose(_batched_ss_res(segs, bases), ref, rtol=1e-11,
                                        err_msg=f"{name} s={s}")

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from mffdfa import (
     AnalysisConfig,
     CascadeSpec,
-    DetrendPolicy,
     InputError,
     NumericalError,
     analyze_series,
     build_profile,
+    default_basis_set,
     default_q_grid,
     default_scale_grid,
     fit_hurst,
@@ -28,7 +28,7 @@ import oracles
 
 def _poly(m):
     """MFDFA-m detrending: the one-member basis set {poly_m}."""
-    return DetrendPolicy((polynomial_basis(m),))
+    return (polynomial_basis(m),)
 
 
 def test_default_q_grid_has_exact_nodes():
@@ -96,7 +96,7 @@ def test_constant_variance_surface_is_flat_in_q(monkeypatch):
     import mffdfa.fluctuation as fl
     v = 0.7303
     monkeypatch.setattr(fl, "batch_segment_variances",
-                        lambda segments, policy: (np.full(len(segments), v),
+                        lambda segments, bases: (np.full(len(segments), v),
                                                   np.zeros(len(segments), dtype=int), (False,)))
     prof = _white_profile()
     surface = fl.fluctuation_function(prof, default_scale_grid(4000), 2,
@@ -123,7 +123,7 @@ def test_k1_fixed_poly_matches_textbook_mfdfa(rng):
     np.testing.assert_allclose(surface.values, oracle, rtol=1e-10)
 
 
-@pytest.mark.parametrize("policy", [_poly(2), DetrendPolicy()])
+@pytest.mark.parametrize("policy", [_poly(2), tuple(default_basis_set())])
 def test_power_mean_monotone_in_q(policy, rng):
     x = rng.standard_normal(4000)
     surface = fluctuation_function(build_profile(x), default_scale_grid(4000),
@@ -133,7 +133,7 @@ def test_power_mean_monotone_in_q(policy, rng):
     assert np.all(diffs >= -1e-12 * surface.values[:-1])
 
 
-@pytest.mark.parametrize("policy", [_poly(3), DetrendPolicy()])
+@pytest.mark.parametrize("policy", [_poly(3), tuple(default_basis_set())])
 def test_homogeneity_under_input_scaling(policy, rng):
     x = rng.standard_normal(3000)
     scales = default_scale_grid(3000, 20, 300, 8)
@@ -172,7 +172,7 @@ def test_zero_variance_segments_are_counted_and_excluded():
 
 @pytest.mark.parametrize("profile, scales, k, policy, excludes", [
     # s < 404 splits the 100 nonzero q into several blocks
-    (_white_profile(10_000), default_scale_grid(10_000), 2, DetrendPolicy(), False),
+    (_white_profile(10_000), default_scale_grid(10_000), 2, tuple(default_basis_set()), False),
     # exclusions make M differ between q > 0 and q < 0
     (_zero_variance_profile(), np.array([30, 40, 50, 60]), 1, _poly(2), True),
 ])
@@ -180,8 +180,8 @@ def test_aggregation_equals_per_q_loop(monkeypatch, profile, scales, k, policy, 
     import mffdfa.fluctuation as fl
     recorded = []
 
-    def recording(segments, policy):
-        fsq, chosen, flags = batch_segment_variances(segments, policy)
+    def recording(segments, bases):
+        fsq, chosen, flags = batch_segment_variances(segments, bases)
         recorded.append(fsq)
         return fsq, chosen, flags
 
@@ -228,7 +228,7 @@ def test_aggregation_memory_stays_within_its_blocks(monkeypatch):
     """
     import mffdfa.fluctuation as fl
     monkeypatch.setattr(fl, "batch_segment_variances",
-                        lambda segments, policy: (np.linspace(0.5, 2.0, len(segments)),
+                        lambda segments, bases: (np.linspace(0.5, 2.0, len(segments)),
                                                   np.zeros(len(segments), dtype=int), (False,)))
     n, k = 2 ** 17, 2
     profile = _white_profile(n)
@@ -264,7 +264,7 @@ def test_selection_counts_shape_and_total(rng):
     x = rng.standard_normal(2500)
     scales = default_scale_grid(2500, 20, 250, 6)
     surface = fluctuation_function(build_profile(x), scales, 2,
-                                   DetrendPolicy(), default_q_grid(-2, 2, 1.0))
+                                   tuple(default_basis_set()), default_q_grid(-2, 2, 1.0))
     assert surface.selection_counts.shape == (scales.size, 3)
     np.testing.assert_array_equal(surface.selection_counts.sum(axis=1),
                                   surface.segment_counts)
@@ -278,7 +278,7 @@ def test_surface_invariants_random_walks(seed, k):
     scales = default_scale_grid(1500, 16, 150, 8)
     q = default_q_grid(-5, 5, 1.0)
     surface = fluctuation_function(build_profile(x), scales, k,
-                                   DetrendPolicy(), q)
+                                   tuple(default_basis_set()), q)
     finite = surface.values[:, surface.usable]
     assert np.all(np.isfinite(finite)) and np.all(finite > 0)
     assert np.all(surface.segment_counts >= 1)

@@ -75,6 +75,17 @@ def test_fbm_spec_rejects_bad_hurst(h):
         FbmSpec(hurst=h, length=100)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+def test_fbm_spec_rejects_a_bad_seed(seed):
+    with pytest.raises(InputError, match="seed must be a non-negative integer"):
+        FbmSpec(hurst=0.7, length=20, seed=seed)
+
+
+def test_fbm_spec_takes_a_numpy_integer_seed():
+    np.testing.assert_array_equal(generate_fgn(FbmSpec(hurst=0.7, length=20, seed=np.int64(3))),
+                                  generate_fgn(FbmSpec(hurst=0.7, length=20, seed=3)))
+
+
 def test_cascade_hand_case():
     x = generate_cascade(CascadeSpec(a=0.65, n_max=2))
     np.testing.assert_allclose(x, [0.1225, 0.2275, 0.2275, 0.4225], rtol=1e-15)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,19 @@ def test_legendre_needs_three_points():
                              intercepts=np.zeros(2), fit_r2=np.ones(2))
     with pytest.raises(InputError, match="q grid of 2 nodes"):
         legendre_transform(hurst)
+
+
+@pytest.mark.parametrize("q", [[-1.0, 0.0, 0.0, 1.0], [1.0, 0.0, -1.0]],
+                         ids=["repeated", "descending"])
+def test_legendre_refuses_a_grid_that_does_not_increase(q):
+    """A repeated node would divide by zero in h'(q), with inf or NaN alpha."""
+    q = np.asarray(q)
+    hurst = GeneralizedHurst(q_grid=q, h=0.5 - 0.1 * q, intercepts=np.zeros(q.size),
+                             fit_r2=np.ones(q.size))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="q grid must be strictly increasing"):
+            legendre_transform(hurst)
 
 
 def test_width_monotone_in_cascade_parameter():
