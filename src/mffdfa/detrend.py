@@ -129,7 +129,11 @@ def _kernel(Y: np.ndarray, design: DesignFit):
     R = Y.copy()                    # Z, until the rank-2 update makes it R
     R -= mid[:, None]
     C = R @ B
-    R -= C[:, :2] @ B[:, :2].T
+    # the rank-2 update's product, a column chunk at a time, is never larger
+    # than a block; a block that fits takes one chunk
+    step = max(1, BLOCK_VALUES // Y.shape[0])
+    for j in range(0, s, step):
+        R[:, j:j + step] -= C[:, :2] @ B[j:j + step, :2].T
     rr = np.einsum("ij,ij->i", R, R)
     ss_res = np.empty((len(design.spans), Y.shape[0]))
     for b, cols in enumerate(design.spans):
@@ -182,7 +186,8 @@ def default_basis_set(abscissa: str = "raw") -> list[BasisFunction]:
         return lead if abscissa == "raw" else (lambda t: lead(t / t[-1]))
     return [
         BasisFunction("quadratic", (on_x(lambda x: x * x),)),
-        BasisFunction("sine", (on_x(lambda x: np.sin(x * x)),)),
+        # the sine takes its square in place: a column less in a design's peak
+        BasisFunction("sine", (on_x(lambda x: np.sin(y := x * x, out=y)),)),
         BasisFunction("cubic", (on_x(lambda x: x ** 3),)),
     ]
 
@@ -247,14 +252,16 @@ class DesignFit:
     at most s * eps * |phi(t)|, as of a phi that is zero, inside the line or
     inside the basis' earlier terms, gives no column and flags the basis in
     ``rank_deficient``.  Every column is written straight into B, which is
-    trimmed only after a rank-deficient basis.
+    trimmed only after a rank-deficient basis, and each term is called on an
+    abscissa of its own, dropped once it returns.  So the build peaks at B
+    plus 2 columns of s: the abscissa and phi's value, or the remainder and
+    one temporary of its projection.
     """
 
     def __init__(self, s: int, bases: Sequence[BasisFunction]):
         if not bases:
             raise InputError("empty basis set")
         check_scale(s, bases)
-        t = np.arange(1, s + 1, dtype=float)
         B = np.empty((s, 2 + sum(len(basis.regressors) for basis in bases)))
         c = np.arange(s) - (s - 1) / 2.0
         B[:, 0] = 1.0 / np.sqrt(s)
@@ -266,10 +273,11 @@ class DesignFit:
         for basis in bases:
             start = end
             for phi in basis.regressors:
-                w = phi(t)
+                # each term gets an abscissa of its own, dropped as phi returns
+                w = phi(np.arange(1, s + 1, dtype=float))
                 size = np.sqrt(w @ w)
                 # the mean as w.mean() computes it, without its call overhead,
-                # taken off into a new array: phi(t) may be t itself
+                # taken off into a new array: phi may return an array it keeps
                 w = w - w.sum() / s
                 for again in (True, False):
                     w -= (e @ w) * e

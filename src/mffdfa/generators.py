@@ -9,6 +9,7 @@ an oracle.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,8 +34,10 @@ class FbmSpec:
     output: str = "increments"
 
     def __post_init__(self):
+        _check_number("hurst", self.hurst, numbers.Real)
         if not 0.0 < self.hurst < 1.0:
             raise InputError(f"Hurst exponent must lie strictly in (0, 1), got {self.hurst}")
+        _check_number("length", self.length, numbers.Integral)
         if self.length < 2:
             raise InputError(f"length must be >= 2, got {self.length}")
         seed = self.seed
@@ -42,6 +45,14 @@ class FbmSpec:
             raise InputError(f"seed must be a non-negative integer, got {seed!r}")
         if self.output not in ("increments", "path"):
             raise InputError(f"output must be 'increments' or 'path', got {self.output!r}")
+
+
+def _check_number(name: str, value, kind: type) -> None:
+    """Refuse a spec field that is not of the numbers ABC kind (Python and
+    NumPy numbers alike), or is a bool."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a real number"
+        raise InputError(f"{name} must be {noun}, got {value!r}")
 
 
 def fgn_autocovariance(hurst: float, n: int) -> np.ndarray:
@@ -94,8 +105,10 @@ class CascadeSpec:
     n_max: int
 
     def __post_init__(self):
+        _check_number("a", self.a, numbers.Real)
         if not 0.5 < self.a < 1.0:
             raise InputError(f"cascade parameter a must lie in (0.5, 1), got {self.a}")
+        _check_number("n_max", self.n_max, numbers.Integral)
         if not 1 <= self.n_max <= 26:
             raise InputError(f"n_max={self.n_max} outside [1, 26] (2^26 is the memory guard)")
 

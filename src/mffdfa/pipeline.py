@@ -162,14 +162,15 @@ class ResultDocument:
 
 def analyze_series(x, config: AnalysisConfig) -> ResultDocument:
     """Run one series through the whole pipeline under ``config``; outside
-    MAGNITUDE_BAND, on the exact x 2^-e for the exponent e of its peak."""
+    MAGNITUDE_BAND, on x 2^-e for the exponent e of its peak, which
+    build_profile scales exactly, block by block."""
     x = as_series(x)
     top, bottom = x.max(), x.min()
     if top == bottom:
         raise NumericalError("degenerate series: zero variance")
     e = int(np.frexp(max(top, -bottom))[1])
     e = 0 if abs(e) <= MAGNITUDE_BAND else e    # inside the band the series runs as it is
-    profile = build_profile(np.ldexp(x, -e) if e else x)
+    profile = build_profile(x, exponent=e)
     scales = default_scale_grid(x.size, config.s_min, config.s_max, config.n_scales)
     lo = config.fit_lo if config.fit_lo is not None else 0
     hi = config.fit_hi if config.fit_hi is not None else np.inf

@@ -36,32 +36,53 @@ def as_series(values, name: str = "series") -> np.ndarray:
     return x
 
 
-def build_profile(series) -> np.ndarray:
-    """Step 1: turn a raw series into its profile Y(j), a float64 array.
+def build_profile(series, *, exponent: int = 0) -> np.ndarray:
+    """Step 1: turn a raw series times 2^-exponent into its profile Y(j), a
+    float64 array.
 
     The mean and the partial sums are accumulated in the widest float the
-    platform offers, then cast back to float64.  The mean is one pairwise
-    sum over a wide copy of the whole series; the partial sums then run
-    BLOCK_VALUES samples at a time into the float64 result, each block
-    starting from the last wide sum of the one before.  That is the
-    addition a single running sum makes, so the result does not depend on
-    the blocking.  The mean's wide copy, freed before the result is
-    allocated, is the largest array: twice the series' bytes where long
-    double takes 16.
+    platform offers, then cast back to float64, BLOCK_VALUES samples at a
+    time: no wide array outgrows a block.  The mean is NumPy's pairwise
+    long-double sum of the whole series, replayed block by block
+    (_wide_sum), so it equals the mean of a whole wide copy bit for bit.
+    The partial sums run into the float64 result, each block starting from
+    the last wide sum of the one before.  That is the addition a single
+    running sum makes, so the result does not depend on the blocking.
+    Each wide block, and the mean's sum, is scaled by 2^-exponent: exact
+    in long double's exponent range, so a series of any magnitude can run
+    at unit scale without a scaled copy.
     """
     x = as_series(series)
-    mean = x.astype(np.longdouble).mean()
+    mean = np.ldexp(_wide_sum(x), -exponent) / x.size
     profile = np.empty(x.size)
     carry = None                    # not 0.0, which would turn a leading -0.0 into +0.0
     for i in range(0, x.size, BLOCK_VALUES):
         wide = x[i:i + BLOCK_VALUES].astype(np.longdouble)
+        if exponent:
+            np.ldexp(wide, -exponent, out=wide)
         wide -= mean
         if carry is not None:
             wide[0] += carry
         np.cumsum(wide, out=wide)
         profile[i:i + BLOCK_VALUES] = wide
         carry = wide[-1]
+        del wide                    # a block more in the next block's peak, if kept
     return profile
+
+
+def _wide_sum(x: np.ndarray) -> np.longdouble:
+    """x.astype(np.longdouble).sum(), bit for bit, one block wide at a time.
+
+    NumPy's pairwise sum of a contiguous run of n > 128 values adds the
+    sums of its two parts, split at n // 2 rounded down to a multiple of 8
+    (pairwise_sum in numpy/_core/src/umath/loops_utils.h.src).  Splitting
+    the same way down to parts of at most BLOCK_VALUES values, and summing
+    each part wide, replays that tree.
+    """
+    if x.size <= BLOCK_VALUES:
+        return x.astype(np.longdouble).sum()
+    half = x.size // 2 // 8 * 8
+    return _wide_sum(x[:half]) + _wide_sum(x[half:])
 
 
 def log_returns(prices) -> np.ndarray:

@@ -307,11 +307,12 @@ def test_designs_hold_each_direction_once():
 
 
 def test_design_memory_is_its_five_columns():
-    """Building one scale's design under the default Q peaks at 8 columns of
-    s values: B, filled in place, next to the abscissa, one basis' lead term
-    and a temporary of its evaluation or projection.  The design keeps B
-    alone.  The centred abscissa kept alive, or one basis' W held apart from
-    B, would add one column."""
+    """Building one scale's design under the default Q peaks at 7 columns of
+    s values: B, filled in place, next to two more, the abscissa and a lead
+    term's value, or the term's remainder and a temporary of its projection.
+    The design keeps B alone.  An abscissa shared by the terms, a sine that
+    squares into an array of its own, the centred abscissa kept alive or
+    one basis' W held apart from B would each add one column."""
     s = 2 ** 17
     bases = default_basis_set()
     tracemalloc.start()
@@ -320,11 +321,26 @@ def test_design_memory_is_its_five_columns():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8.5 * 8 * s
+    assert peak <= 7.5 * 8 * s
     assert design.B.shape == (s, 5) and design.B.base is None
     assert [name for name, value in vars(design).items()
             if isinstance(value, np.ndarray)] == ["B"]
 
+
+def test_long_rows_peak_at_the_design_and_two_rows():
+    """A scale whose two-row block holds more than BLOCK_VALUES values peaks
+    at B's 5 columns, the block's two rows of R and a little: the rank-2
+    update's product runs in column chunks of a block, not over whole rows."""
+    s = 2 ** 16 + 3
+    assert 2 * s > BLOCK_VALUES
+    segments = np.random.default_rng(3).standard_normal((4, s)).cumsum(axis=1)
+    tracemalloc.start()
+    try:
+        batch_segment_variances(segments, default_basis_set())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.6 * 8 * s
 
 
 def _written_on(abscissa, bases):

@@ -243,12 +243,24 @@ def test_aggregation_memory_stays_within_its_blocks(monkeypatch):
 
 
 def test_analysis_memory_stays_near_two_profiles():
-    """analyze_series on 2^18 points peaks at the mean's wide copy of the
-    series (2 x 8N bytes where long double takes 16), plus a margin for a
-    scale's designs."""
+    """analyze_series on 2^18 points peaks at about 2 x 8N bytes: the profile
+    next to the smallest scale's per-segment vectors and block buffers.  No
+    wide copy of the series sets it any more; the bound keeps its margin
+    for a scale's designs."""
     x = generate_cascade(CascadeSpec(a=0.65, n_max=18))
     peak = _traced_peak(lambda: analyze_series(x, AnalysisConfig()))
     assert peak <= 2.25 * 8 * x.size
+
+
+def test_out_of_band_analysis_memory_is_in_band_memory():
+    """A series outside the magnitude band is scaled inside build_profile,
+    block by block: its analysis peaks within one block of the same series
+    in band, not at a scaled copy of it."""
+    x = generate_cascade(CascadeSpec(a=0.65, n_max=18))
+    in_band = _traced_peak(lambda: analyze_series(x, AnalysisConfig()))
+    x = np.ldexp(x, 300)
+    out_of_band = _traced_peak(lambda: analyze_series(x, AnalysisConfig()))
+    assert out_of_band <= in_band + 8 * BLOCK_VALUES
 
 
 def test_all_zero_variance_raises_numerical_error():

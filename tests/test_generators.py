@@ -86,6 +86,34 @@ def test_fbm_spec_takes_a_numpy_integer_seed():
                                   generate_fgn(FbmSpec(hurst=0.7, length=20, seed=3)))
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: FbmSpec(hurst="0.7", length=20), "hurst"),
+    (lambda: FbmSpec(hurst=None, length=20), "hurst"),
+    (lambda: FbmSpec(hurst=0.7, length=20.5), "length"),
+    (lambda: FbmSpec(hurst=0.7, length=True), "length"),
+    (lambda: FbmSpec(hurst=0.7, length="20"), "length"),
+    (lambda: CascadeSpec(a="0.7", n_max=3), "a"),
+    (lambda: CascadeSpec(a=True, n_max=3), "a"),
+    (lambda: CascadeSpec(a=0.65, n_max=3.5), "n_max"),
+    (lambda: CascadeSpec(a=0.65, n_max=True), "n_max"),
+    (lambda: CascadeSpec(a=0.65, n_max=np.float64(3.0)), "n_max"),
+])
+def test_specs_refuse_what_they_cannot_generate(make, field):
+    """A string, a bool or a fractional count is refused as bad input that
+    names its field, not taken as a number or left to fail as a TypeError."""
+    with pytest.raises(InputError, match=rf"^{field} must be"):
+        make()
+
+
+def test_specs_take_numpy_numbers():
+    np.testing.assert_array_equal(
+        generate_fgn(FbmSpec(hurst=np.float64(0.7), length=np.int64(20))),
+        generate_fgn(FbmSpec(hurst=0.7, length=20)))
+    np.testing.assert_array_equal(
+        generate_cascade(CascadeSpec(a=np.float32(0.75), n_max=np.int64(5))),
+        generate_cascade(CascadeSpec(a=0.75, n_max=5)))
+
+
 def test_cascade_hand_case():
     x = generate_cascade(CascadeSpec(a=0.65, n_max=2))
     np.testing.assert_allclose(x, [0.1225, 0.2275, 0.2275, 0.4225], rtol=1e-15)

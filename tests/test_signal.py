@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -46,12 +48,15 @@ def _one_pass_profile(x):
 
 
 @pytest.mark.parametrize("n", [2, BLOCK_VALUES - 1, BLOCK_VALUES, BLOCK_VALUES + 1,
-                               3 * BLOCK_VALUES + 5])
+                               3 * BLOCK_VALUES + 5, 2 ** 20 + 3])
 def test_profile_blocks_equal_one_running_sum(n):
     """Bit for bit, signed zeros included, whatever the blocks' boundaries.
 
     The integer series sums to exactly zero and starts with -0.0, so its
     profile starts with -0.0 too; the other one carries a large offset.
+    The mean replays NumPy's pairwise sum of a whole wide copy, five
+    levels deep at 2^20 + 3: a NumPy release that splits its sum elsewhere
+    fails here instead of moving the profile's last bits.
     """
     rng = np.random.default_rng(n)
     ints = rng.integers(-1000, 1000, n).astype(float)
@@ -60,6 +65,30 @@ def test_profile_blocks_equal_one_running_sum(n):
     assert np.signbit(_one_pass_profile(ints)[0])
     for x in (ints, 1e6 + rng.standard_normal(n)):
         assert build_profile(x).tobytes() == _one_pass_profile(x).tobytes()
+
+
+@pytest.mark.parametrize("k", [-1000, -540, 300, 505, 1000])
+def test_profile_scales_without_a_copy(k):
+    """build_profile(x, exponent=e) is the profile of x 2^-e, bit for bit,
+    wherever the scaled copy is exact."""
+    x = np.ldexp(np.random.default_rng(k % 7).standard_normal(3 * BLOCK_VALUES + 5), k)
+    e = int(np.frexp(np.abs(x).max())[1])
+    assert build_profile(x, exponent=e).tobytes() == build_profile(np.ldexp(x, -e)).tobytes()
+
+
+def test_profile_memory_is_the_profile_and_its_blocks():
+    """At 2^20 points the profile peaks at its own 8N bytes plus at most two
+    long-double blocks: no whole-series wide copy, for the mean or at an
+    exponent."""
+    x = 1e6 + np.random.default_rng(1).standard_normal(2 ** 20)
+    for exponent in (0, 300):
+        tracemalloc.start()
+        try:
+            build_profile(x, exponent=exponent)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * x.size + 2 * np.dtype(np.longdouble).itemsize * BLOCK_VALUES
 
 
 def test_profile_length_matches_input(rng):
