@@ -100,16 +100,24 @@ def _best_basis(r2: np.ndarray) -> np.ndarray:
     return np.argmax(r2 >= r2.max(axis=0) - TIE_EPS, axis=0)
 
 
+def _subtract_product(R: np.ndarray, C: np.ndarray, W: np.ndarray) -> None:
+    """R -= C W^T in place, a column chunk at a time: the product's temporary
+    is never larger than a block, and a block that fits takes one chunk."""
+    step = max(1, BLOCK_VALUES // R.shape[0])
+    for j in range(0, R.shape[1], step):
+        R[:, j:j + step] -= C @ W[j:j + step].T
+
+
 def _remove_span(R: np.ndarray, W: np.ndarray) -> None:
     """Subtract from the rows of R, in place, their projection on the
-    orthonormal columns of W.
+    orthonormal columns of W, in column chunks of a block (_subtract_product).
 
     The products run on a contiguous copy of W: BLAS takes another routine,
     and rounds differently, for a column strided by B's width, and the copy
     keeps the residual the same whichever B the design sits in.
     """
     W = np.ascontiguousarray(W)
-    R -= (R @ W) @ W.T
+    _subtract_product(R, R @ W, W)
 
 
 def _kernel(Y: np.ndarray, design: DesignFit):
@@ -129,11 +137,7 @@ def _kernel(Y: np.ndarray, design: DesignFit):
     R = Y.copy()                    # Z, until the rank-2 update makes it R
     R -= mid[:, None]
     C = R @ B
-    # the rank-2 update's product, a column chunk at a time, is never larger
-    # than a block; a block that fits takes one chunk
-    step = max(1, BLOCK_VALUES // Y.shape[0])
-    for j in range(0, s, step):
-        R[:, j:j + step] -= C[:, :2] @ B[j:j + step, :2].T
+    _subtract_product(R, C[:, :2], B[:, :2])
     rr = np.einsum("ij,ij->i", R, R)
     ss_res = np.empty((len(design.spans), Y.shape[0]))
     for b, cols in enumerate(design.spans):
@@ -158,9 +162,10 @@ def _kernel(Y: np.ndarray, design: DesignFit):
 class BasisFunction:
     """A trend model linear in its parameters: trend(t) = sum_j a_j phi_j(t) + b t + c.
 
-    ``regressors`` lists only the lead terms phi_j, called on t = 1..s;
-    every model carries the line b t + c: the detrending kernel centres each
-    segment and removes its line before it looks at the rest of the span.
+    ``regressors`` lists only the lead terms phi_j, each called on an array
+    t = 1..s of its own, which it may overwrite; every model carries the
+    line b t + c: the detrending kernel centres each segment and removes its
+    line before it looks at the rest of the span.
     """
 
     name: str
@@ -183,7 +188,7 @@ def default_basis_set(abscissa: str = "raw") -> list[BasisFunction]:
     check_abscissa(abscissa)
 
     def on_x(lead):
-        return lead if abscissa == "raw" else (lambda t: lead(t / t[-1]))
+        return lead if abscissa == "raw" else (lambda t: lead(np.divide(t, t[-1], out=t)))
     return [
         BasisFunction("quadratic", (on_x(lambda x: x * x),)),
         # the sine takes its square in place: a column less in a design's peak

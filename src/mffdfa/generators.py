@@ -144,6 +144,7 @@ def cascade_oracle(a: float) -> CascadeOracle:
 
     Evaluated through logaddexp so extreme |q| cannot overflow a^q.
     """
+    _check_number("a", a, numbers.Real)
     if not 0.5 < a < 1.0:
         raise InputError(f"cascade parameter a must lie in (0.5, 1), got {a}")
     la, lb = np.log(a), np.log1p(-a)

@@ -26,9 +26,6 @@ from .spectrum import (GeneralizedHurst, SingularitySpectrum, check_q_grid, fit_
 
 METHODS = ("mfdfa", "mfdfa_overlap", "mffdfa")
 
-#: a series whose peak |x| lies outside [2^-64, 2^64] runs scaled to a peak in [1/2, 1)
-MAGNITUDE_BAND = 64
-
 #: per annotation: how an error names it, the values it accepts (NumPy scalars
 #: among them; bool, an int to Python, is refused apart) and the type stored
 _FIELD_TYPES = {"str": ("a string", str, str), "int": ("an integer", numbers.Integral, int),
@@ -161,15 +158,14 @@ class ResultDocument:
 
 
 def analyze_series(x, config: AnalysisConfig) -> ResultDocument:
-    """Run one series through the whole pipeline under ``config``; outside
-    MAGNITUDE_BAND, on x 2^-e for the exponent e of its peak, which
-    build_profile scales exactly, block by block."""
+    """Run one series through the whole pipeline under ``config``, on x 2^-e
+    for the exponent e of its peak, which build_profile scales exactly, block
+    by block: x 2^k, if no value is subnormal, analyses as x does."""
     x = as_series(x)
     top, bottom = x.max(), x.min()
     if top == bottom:
         raise NumericalError("degenerate series: zero variance")
     e = int(np.frexp(max(top, -bottom))[1])
-    e = 0 if abs(e) <= MAGNITUDE_BAND else e    # inside the band the series runs as it is
     profile = build_profile(x, exponent=e)
     scales = default_scale_grid(x.size, config.s_min, config.s_max, config.n_scales)
     lo = config.fit_lo if config.fit_lo is not None else 0

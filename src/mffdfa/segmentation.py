@@ -9,7 +9,7 @@ the series end.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
 
@@ -28,15 +28,13 @@ def layout(profile: np.ndarray, s: int, k: int) -> np.ndarray:
 
     Stride is floor(s/k); windows run forward from offset 0 and any tail
     shorter than one stride is discarded, so M = floor((N - s)/stride) + 1.
-    The rows are a read-only strided view: nothing of the profile is copied.
+    The rows are a read-only sliding_window_view: nothing is copied.
     """
     N = len(profile)
     if s > N:
         raise InputError(f"scale s={s} exceeds series length N={N}")
     check_overlap(s, k)
-    step = profile.strides[0]
-    return as_strided(profile, shape=((N - s) // (s // k) + 1, s),
-                      strides=(s // k * step, step), writeable=False)
+    return sliding_window_view(profile, s)[::s // k]
 
 
 def check_grid(s_min: int, s_max: int | None, n_scales: int, N: int | None = None) -> None:

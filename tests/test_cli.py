@@ -132,6 +132,14 @@ def test_unwritable_output_exits_two(tmp_path, capsys, monkeypatch, argv):
     assert err.startswith(f"error: input: cannot write {out}: ")
 
 
+def test_output_that_fails_at_write_time_exits_two(tmp_path, capsys, monkeypatch):
+    """An -o path that passes the early check but cannot be opened when the
+    result is written is refused as bad input too."""
+    monkeypatch.setattr(cli, "_check_output", lambda output: None)
+    assert main(["oracle", "--a", "0.65", "-o", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: input: cannot write {tmp_path}: ")
+
+
 @pytest.mark.parametrize("content, code", [
     ("7.0\n" * 500, 3),
     ("1.0\nnot-a-number\n", 2),
@@ -332,6 +340,31 @@ def test_analysis_imports_nothing_lazily():
     proc = subprocess.run([sys.executable, "-c", _ANALYSES_AFTER_IMPORT],
                           capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+_ANALYSES_AS_JSON = """
+from mffdfa import AnalysisConfig, FbmSpec, analyze_series, generate_fgn
+x = generate_fgn(FbmSpec(hurst=0.7, length=10_000, seed=0))
+for config in (AnalysisConfig(), AnalysisConfig(method="mfdfa", m=3),
+               AnalysisConfig(abscissa="normalized")):
+    print(analyze_series(x, config).to_json())
+"""
+
+
+def test_output_does_not_depend_on_the_blas_thread_count():
+    """fGn of 10^4 points gives the same bytes at one and two BLAS threads:
+    its scales stop at 10^3, below the length at which BLAS splits a dot
+    product among its threads."""
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(mffdfa.__file__).resolve().parents[1]),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _ANALYSES_AS_JSON],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, ""), threads
+        runs.append(proc.stdout)
+    assert runs[0] == runs[1]
 
 
 # ----------------------------------------------------------- input parsing
@@ -627,6 +660,16 @@ def test_config_file_bad_type_exits_two(tmp_path, capsys, content, message):
     assert "error: input:" in err and message in err
 
 
+@pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "invalid-json"])
+@pytest.mark.usefixtures("input_not_read")
+def test_unreadable_config_file_exits_two(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    assert main(["analyze", str(tmp_path / "x.csv"), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: input: cannot read config file {cfg}: ")
+
+
 def test_bad_method_rejected():
     with pytest.raises(InputError, match="unknown method"):
         AnalysisConfig(method="wavelet-leader")
@@ -781,6 +824,12 @@ def test_oracle_non_finite_q_step_exits_two(capsys):
     assert "over 10000 nodes" in capsys.readouterr().err
 
 
+def test_oracle_bad_a_exits_two(capsys):
+    assert main(["oracle", "--a", "0.3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: input: cascade parameter a must lie in (0.5, 1), got 0.3\n")
+
+
 def test_oracle_width_grows_with_a(capsys):
     widths = {}
     for a in ("0.55", "0.8"):
@@ -810,6 +859,11 @@ def test_analyze_series_rejects_degenerate_input():
 
     with pytest.raises(NumericalError, match="zero variance"):
         analyze_series(np.ones(1000), AnalysisConfig())
+
+
+def test_analyze_series_rejects_a_two_dimensional_series():
+    with pytest.raises(InputError, match=r"must be one-dimensional, got shape \(2, 500\)"):
+        analyze_series(np.ones((2, 500)), AnalysisConfig())
 
 
 def test_analyze_series_matches_cli_output(tmp_path, capsys):

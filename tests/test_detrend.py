@@ -270,25 +270,23 @@ def test_huge_series_keep_their_selection(fgn_bank):
 
 @pytest.mark.parametrize("hurst", [0.5, 0.7])
 def test_same_answer_at_every_magnitude(fgn_bank, hurst):
-    """x 2^k analyses as x does, for peaks from about 2^-1000 to 2^1000: h
-    and the width agree to rounding, every basis wins as many segments, all
-    30 scales stay usable, F_q(s) scales with 2^k and the intercepts move
-    by k ln 2."""
+    """x 2^k analyses as x does, for peaks from about 2^-1000 to 2^1000: every
+    series runs at a peak in [1/2, 1), so the JSON is x's byte for byte but
+    for the intercepts, which move by k ln 2, and F_q(s) is x's times 2^k
+    exactly."""
     x = fgn_bank(hurst, 10_000, 0)
     ref = analyze_series(x, AnalysisConfig())
-    for k in (-1000, -540, 300, 505, 1000):
+    expected = ref.to_dict()
+    ref_intercepts = np.array(expected["hurst"].pop("intercepts"))
+    for k in (-1000, -540, -64, -3, -1, 1, 3, 64, 300, 505, 1000):
         doc = analyze_series(np.ldexp(x, k), AnalysisConfig())
-        assert doc.surface.usable.all() and doc.surface.scales.size == 30, k
-        np.testing.assert_array_equal(doc.surface.selection_counts,
-                                      ref.surface.selection_counts, err_msg=f"k={k}")
-        np.testing.assert_allclose(doc.hurst.h, ref.hurst.h, rtol=0, atol=1e-14,
-                                   err_msg=f"k={k}")
-        assert doc.spectrum.delta_alpha == pytest.approx(ref.spectrum.delta_alpha,
-                                                         rel=0, abs=1e-12), k
-        np.testing.assert_allclose(doc.surface.values, np.ldexp(ref.surface.values, k),
-                                   rtol=1e-13, err_msg=f"k={k}")
-        np.testing.assert_allclose(doc.hurst.intercepts, ref.hurst.intercepts + k * np.log(2.0),
+        got = doc.to_dict()
+        np.testing.assert_allclose(got["hurst"].pop("intercepts"),
+                                   ref_intercepts + k * np.log(2.0),
                                    rtol=0, atol=1e-12, err_msg=f"k={k}")
+        assert json.dumps(got) == json.dumps(expected), k
+        np.testing.assert_array_equal(doc.surface.values, np.ldexp(ref.surface.values, k),
+                                      err_msg=f"k={k}")
 
 
 def test_designs_hold_each_direction_once():
@@ -307,24 +305,26 @@ def test_designs_hold_each_direction_once():
 
 
 def test_design_memory_is_its_five_columns():
-    """Building one scale's design under the default Q peaks at 7 columns of
-    s values: B, filled in place, next to two more, the abscissa and a lead
-    term's value, or the term's remainder and a temporary of its projection.
-    The design keeps B alone.  An abscissa shared by the terms, a sine that
+    """Building one scale's design under the default Q, on either abscissa,
+    peaks at 7 columns of s values: B, filled in place, next to two more,
+    the abscissa and a lead term's value, or the term's remainder and a
+    temporary of its projection.  The design keeps B alone.  An abscissa
+    shared by the terms, one divided by s into a new array, a sine that
     squares into an array of its own, the centred abscissa kept alive or
     one basis' W held apart from B would each add one column."""
     s = 2 ** 17
-    bases = default_basis_set()
-    tracemalloc.start()
-    try:
-        design = DesignFit(s, bases)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 7.5 * 8 * s
-    assert design.B.shape == (s, 5) and design.B.base is None
-    assert [name for name, value in vars(design).items()
-            if isinstance(value, np.ndarray)] == ["B"]
+    for abscissa in ABSCISSAS:
+        bases = default_basis_set(abscissa)
+        tracemalloc.start()
+        try:
+            design = DesignFit(s, bases)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.5 * 8 * s, abscissa
+        assert design.B.shape == (s, 5) and design.B.base is None
+        assert [name for name, value in vars(design).items()
+                if isinstance(value, np.ndarray)] == ["B"]
 
 
 def test_long_rows_peak_at_the_design_and_two_rows():
@@ -341,6 +341,28 @@ def test_long_rows_peak_at_the_design_and_two_rows():
     finally:
         tracemalloc.stop()
     assert peak <= 7.6 * 8 * s
+
+
+def test_guarded_rows_peak_below_a_column_chunked_bound():
+    """Rows whose quadratic fit trips the residual guard, at a scale whose
+    two-row block outgrows BLOCK_VALUES, peak at B's 5 columns, the block's
+    two rows of R, the guard's copies of those rows and of W, and a chunk:
+    the guard takes its projection off in column chunks of a block, not as
+    one product over whole rows (12 columns)."""
+    s = 2 ** 16 + 3
+    t = np.arange(1.0, s + 1.0)
+    segments = 1e-3 * t * t + np.random.default_rng(3).standard_normal((4, s))
+    design = DesignFit(s, default_basis_set())
+    ss_res, _, _, R = _kernel(segments[:2], design)
+    assert (ss_res[0] < RESIDUAL_GUARD * np.einsum("ij,ij->i", R, R)).all()
+    del design, R
+    tracemalloc.start()
+    try:
+        batch_segment_variances(segments, default_basis_set())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.6 * 8 * s
 
 
 def _written_on(abscissa, bases):

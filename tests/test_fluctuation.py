@@ -253,14 +253,14 @@ def test_analysis_memory_stays_near_two_profiles():
 
 
 def test_out_of_band_analysis_memory_is_in_band_memory():
-    """A series outside the magnitude band is scaled inside build_profile,
-    block by block: its analysis peaks within one block of the same series
-    in band, not at a scaled copy of it."""
+    """Every series runs at unit peak, scaled inside build_profile block by
+    block: the series times 2^300 peaks within one block of the series as
+    generated, not at a scaled copy of it."""
     x = generate_cascade(CascadeSpec(a=0.65, n_max=18))
-    in_band = _traced_peak(lambda: analyze_series(x, AnalysisConfig()))
+    as_generated = _traced_peak(lambda: analyze_series(x, AnalysisConfig()))
     x = np.ldexp(x, 300)
-    out_of_band = _traced_peak(lambda: analyze_series(x, AnalysisConfig()))
-    assert out_of_band <= in_band + 8 * BLOCK_VALUES
+    scaled = _traced_peak(lambda: analyze_series(x, AnalysisConfig()))
+    assert scaled <= as_generated + 8 * BLOCK_VALUES
 
 
 def test_all_zero_variance_raises_numerical_error():

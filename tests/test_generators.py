@@ -97,10 +97,14 @@ def test_fbm_spec_takes_a_numpy_integer_seed():
     (lambda: CascadeSpec(a=0.65, n_max=3.5), "n_max"),
     (lambda: CascadeSpec(a=0.65, n_max=True), "n_max"),
     (lambda: CascadeSpec(a=0.65, n_max=np.float64(3.0)), "n_max"),
+    (lambda: cascade_oracle("0.7"), "a"),
+    (lambda: FbmSpec(hurst=0.7, length=1), "length"),
+    (lambda: FbmSpec(hurst=0.7, length=20, output="bogus"), "output"),
 ])
 def test_specs_refuse_what_they_cannot_generate(make, field):
-    """A string, a bool or a fractional count is refused as bad input that
-    names its field, not taken as a number or left to fail as a TypeError."""
+    """A string, a bool, a fractional or too short count or an unknown output
+    is refused as bad input that names its field, not taken as a number or
+    left to fail as a TypeError."""
     with pytest.raises(InputError, match=rf"^{field} must be"):
         make()
 
@@ -137,10 +141,12 @@ def test_cascade_matches_popcount_oracle():
     np.testing.assert_allclose(x, oracles.popcount_cascade(0.62, 10), rtol=1e-15)
 
 
-@pytest.mark.parametrize("a", [0.5, 1.0, 0.2])
+@pytest.mark.parametrize("a", [0.5, 1.0, 0.2, 0.3, np.nan])
 def test_cascade_rejects_bad_parameter(a):
     with pytest.raises(InputError):
         CascadeSpec(a=a, n_max=5)
+    with pytest.raises(InputError, match="must lie in"):
+        cascade_oracle(a)
 
 
 def test_cascade_rejects_oversized_n_max():

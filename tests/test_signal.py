@@ -125,6 +125,11 @@ def test_profile_rejects_too_short():
         build_profile([1.0])
 
 
+def test_profile_rejects_a_two_dimensional_series():
+    with pytest.raises(InputError, match=r"must be one-dimensional, got shape \(2, 50\)"):
+        build_profile(np.ones((2, 50)))
+
+
 def test_log_returns_exact_logs():
     np.testing.assert_allclose(log_returns([1.0, np.e, np.e ** 2]), [1.0, 1.0],
                                rtol=1e-15)
