@@ -1,7 +1,8 @@
 """Per-segment trend estimation.
 
 One detrending rule: every candidate of a small basis set Q is fitted to
-each segment and the winner is picked by coefficient of determination.
+each segment and the winner is the least residual sum, which is the highest
+R^2, since every candidate fits the same segment.
 Classical MFDFA-m is the one-member set Q = {polynomial of order m}.
 
 Every candidate model is linear in its parameters: its lead terms phi_j
@@ -29,7 +30,7 @@ So one least-squares kernel serves every candidate at once:
 * Noise floor: |y_t| <= |y_mid| + |Z|, with |Z|^2 = ss_tot + C_1^2, bounds
   a segment's floor from sums already at hand.  Only segments whose ss_tot
   does not clear that bound -- the numerically constant ones -- take the
-  exact floor from their row's extremes, so R^2 is what the row rule gives.
+  exact floor from their row's extremes, so they pick as the row rule does.
 * A batch goes through in blocks of about BLOCK_VALUES values and at least
   two rows, so Z, R's one temporary and the products stay in cache.  The
   sums of about BLOCK_VALUES / 4 segments at a time are scored and reduced
@@ -47,11 +48,10 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 
-#: ties in R^2 below this are broken by position in Q (first wins)
+#: residual sums within this share of ss_tot of the least tie (first in Q wins)
 TIE_EPS = 1e-12
 
-#: relative scatter below this counts as numerically constant; a residual at
-#: the same level counts as a perfect fit of such a segment
+#: relative scatter below this counts as numerically constant: every fit ties
 R2_ZERO_TOL = 1e-12
 
 #: a residual sum below this share of the linear residual's is recomputed
@@ -79,25 +79,12 @@ def _noise_floor(Y: np.ndarray) -> np.ndarray:
     return Y.shape[1] * (R2_ZERO_TOL * peak) ** 2
 
 
-def _r_squared(ss_tot: np.ndarray, floor: np.ndarray, ss_res: np.ndarray) -> np.ndarray:
-    """R^2 of fits to M segments from their sums of squares and noise floors.
-
-    ss_res has shape (M,) or (n_bases, M).  A numerically constant segment
-    carries no variance to explain: a fit scores 1 when its residual sits
-    at rounding level too and 0 otherwise.  The cutoff is relative, so
-    selection is invariant under rescaling the segment.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(
-            ss_tot > floor,
-            1.0 - ss_res / ss_tot,
-            np.where(ss_res <= floor, 1.0, 0.0),
-        )
-
-
-def _best_basis(r2: np.ndarray) -> np.ndarray:
-    """Index along axis 0 of the highest R^2; ties within TIE_EPS go to the earliest."""
-    return np.argmax(r2 >= r2.max(axis=0) - TIE_EPS, axis=0)
+def _best_basis(ss_res: np.ndarray, ss_tot: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Per segment, the index along axis 0 of ss_res (n_bases, M) of the least
+    residual sum, the highest R^2: the earliest within TIE_EPS * ss_tot of the
+    least, or within the floor on a numerically constant segment (a tie)."""
+    tol = np.where(ss_tot > floor, TIE_EPS * ss_tot, floor)
+    return np.argmax(ss_res <= ss_res.min(axis=0) + tol, axis=0)
 
 
 def _subtract_product(R: np.ndarray, C: np.ndarray, W: np.ndarray) -> None:
@@ -124,12 +111,12 @@ def _kernel(Y: np.ndarray, design: DesignFit):
     """The detrending kernel, for the rows of Y (shape (M, s)) and every basis
     of the scale's design.
 
-    Returns (ss_res, ss_tot, floor, R): residual sums of squares with shape
-    (number of bases, M), total sums of squares about the row means, noise
-    floors and the linear residuals R (M, s).  A floor is the row's own
-    (_noise_floor) where ss_tot does not clear it by a margin, and elsewhere
-    an upper bound on it, which puts the row in the same branch of
-    _r_squared.
+    Returns (ss_res, ss_tot, floor, R): residual sums of squares (number of
+    bases, M), least where R^2 is highest, since every basis fits the same
+    row; sums of squares about the row means, noise floors and the linear
+    residuals R (M, s).  A floor is the row's own (_noise_floor) where ss_tot
+    does not clear it by a margin, and elsewhere an upper bound on it, which
+    puts the row in the same branch of _best_basis.
     """
     B = design.B
     s = Y.shape[1]
@@ -308,12 +295,13 @@ def batch_segment_variances(segments: np.ndarray, bases: Sequence[BasisFunction]
     """Detrended variance F^2 for a batch of segments (rows, possibly a
     strided view of the profile) under their best basis of Q (Step 3).
 
-    Every basis is fitted to every segment and the highest R^2 wins; ties
-    within TIE_EPS go to the earliest basis, which keeps runs deterministic.
-    Returns (variances, chosen, rank_deficient): chosen holds the 0-based
-    winning basis index per segment, and rank_deficient flags each basis.
+    Every basis is fitted to every segment and the least residual sum wins,
+    which is the highest R^2, since every candidate fits the same segment;
+    ties go to the earliest basis (_best_basis).  Returns (variances, chosen,
+    rank_deficient): chosen holds the 0-based winning basis index per
+    segment, and rank_deficient flags each basis.
     All segments share the scale's one DesignFit.  A segment whose total sum
-    of squares is not finite raises NumericalError: no R^2 can rank fits to it.
+    of squares is not finite raises NumericalError: no sum can rank fits to it.
     """
     M, s = segments.shape
     design = DesignFit(s, bases)
@@ -334,7 +322,7 @@ def batch_segment_variances(segments: np.ndarray, bases: Sequence[BasisFunction]
         if not np.isfinite(ss_tot).all():
             raise NumericalError(f"segment sum of squares overflows at scale s={s}; "
                                  "rescale the input")
-        best = _best_basis(_r_squared(ss_tot, floor, ss_res))
+        best = _best_basis(ss_res, ss_tot, floor)
         chosen[g:g + group] = best
         fsq[g:g + group] = ss_res[best, np.arange(best.size)]
     fsq /= s

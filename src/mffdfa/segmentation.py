@@ -37,8 +37,14 @@ def layout(profile: np.ndarray, s: int, k: int) -> np.ndarray:
     return sliding_window_view(profile, s)[::s // k]
 
 
+#: the most scales a grid may ask for, as Q_NODES_MAX caps the q grid
+N_SCALES_MAX = 10_000
+
+
 def check_grid(s_min: int, s_max: int | None, n_scales: int, N: int | None = None) -> None:
-    """Refuse a grid of no scales; an s_max or N of None is not known yet."""
+    """Refuse a grid of no scales or over N_SCALES_MAX; an s_max or N of None is not known yet."""
+    if n_scales > N_SCALES_MAX:
+        raise InputError(f"scale grid over {N_SCALES_MAX} scales: n_scales={n_scales}")
     if not (n_scales >= 1 and 1 <= s_min and (s_max is None or s_min < s_max)
             and (N is None or s_max <= N)):
         raise InputError(f"need n_scales >= 1 and 1 <= s_min < s_max <= N, got "

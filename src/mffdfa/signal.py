@@ -48,18 +48,22 @@ def build_profile(series, *, exponent: int = 0) -> np.ndarray:
     The partial sums run into the float64 result, each block starting from
     the last wide sum of the one before.  That is the addition a single
     running sum makes, so the result does not depend on the blocking.
-    Each wide block, and the mean's sum, is scaled by 2^-exponent: exact
-    in long double's exponent range, so a series of any magnitude can run
-    at unit scale without a scaled copy.
+    Each wide block, and the mean's sum, is scaled by 2^-exponent as two
+    multiplications by powers of two within float64's range: exact in long
+    double's exponent range, so a series of any magnitude can run at unit
+    scale without a scaled copy.
     """
     x = as_series(series)
-    mean = np.ldexp(_wide_sum(x), -exponent) / x.size
+    half = -exponent // 2
+    scale = (2.0 ** half, 2.0 ** (-exponent - half))
+    mean = _wide_sum(x) * scale[0] * scale[1] / x.size
     profile = np.empty(x.size)
     carry = None                    # not 0.0, which would turn a leading -0.0 into +0.0
     for i in range(0, x.size, BLOCK_VALUES):
         wide = x[i:i + BLOCK_VALUES].astype(np.longdouble)
         if exponent:
-            np.ldexp(wide, -exponent, out=wide)
+            wide *= scale[0]
+            wide *= scale[1]
         wide -= mean
         if carry is not None:
             wide[0] += carry

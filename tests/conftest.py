@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from mffdfa import FbmSpec, generate_fgn
-from mffdfa.detrend import DesignFit, _kernel, _r_squared, _remove_span
+from mffdfa.detrend import DesignFit, _kernel, _remove_span
 
 # Hypothesis' pytest plugin imports this module when it reports a failing
 # example; it pulls in libcst, whose import raises a DeprecationWarning that
@@ -40,6 +40,9 @@ def fgn_bank():
 
 
 def _fit_one(segment, basis):
+    # imported here: a copy of this file alone must load (test_pytest_setup)
+    import oracles
+
     y = np.asarray(segment, dtype=float)
     design = DesignFit(y.size, [basis])
     ss_res, ss_tot, floor, R = _kernel(y[None, :], design)
@@ -47,7 +50,7 @@ def _fit_one(segment, basis):
     return SimpleNamespace(
         fitted=y - R[0],
         ss_res=float(ss_res[0, 0]),
-        r_squared=float(_r_squared(ss_tot, floor, ss_res[0])[0]),
+        r_squared=float(oracles.r_squared_with_floor(ss_res[0], ss_tot, floor)[0]),
         rank_deficient=design.rank_deficient[0],
     )
 

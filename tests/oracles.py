@@ -36,6 +36,25 @@ def r_squared_direct(y, fitted):
     return 1.0 - ss_res / ss_tot
 
 
+def r_squared_with_floor(ss_res, ss_tot, floor):
+    """R^2 of fits from their sums of squares and noise floors.
+
+    ss_res has shape (M,) or (n_bases, M).  A numerically constant segment
+    (ss_tot <= floor) carries no variance to explain: a fit scores 1 when
+    its residual sits at the floor too and 0 otherwise.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(ss_tot > floor, 1.0 - ss_res / ss_tot,
+                        np.where(ss_res <= floor, 1.0, 0.0))
+
+
+def best_basis_by_r_squared(ss_res, ss_tot, floor, tie_eps):
+    """Per segment, the index along axis 0 of the highest R^2
+    (``r_squared_with_floor``); R^2 within tie_eps of it go to the earliest."""
+    r2 = r_squared_with_floor(ss_res, ss_tot, floor)
+    return np.argmax(r2 >= r2.max(axis=0) - tie_eps, axis=0)
+
+
 def segment_variance_direct(seg, trend):
     return sum((a - b) ** 2 for a, b in zip(seg, trend)) / len(seg)
 

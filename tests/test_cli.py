@@ -221,13 +221,15 @@ def input_not_read(monkeypatch):
      "segment length 4 not above the 4 parameters of basis 'poly3'; raise s_min"),
     (["analyze", "--n-scales", "0"],
      "need n_scales >= 1 and 1 <= s_min < s_max <= N, got n_scales=0 s_min=30 s_max=None N=None"),
+    (["analyze", "--n-scales", "1000000000000"],
+     "scale grid over 10000 scales: n_scales=1000000000000"),
     (["analyze", "--s-max", "20"],
      "need n_scales >= 1 and 1 <= s_min < s_max <= N, got n_scales=30 s_min=30 s_max=20 N=None"),
     (["analyze", "--k", "10", "--s-min", "5"],
      "scale s=5 is shorter than the overlap factor k=10; raise s_min or lower k"),
 ], ids=["q-step", "two-node-grid", "k", "fit-window", "config-type",
         "m-min", "m-max", "m-range", "s-min", "sweep-s-min",
-        "n-scales", "s-max", "k-above-s-min"])
+        "n-scales", "n-scales-cap", "s-max", "k-above-s-min"])
 @pytest.mark.usefixtures("input_not_read")
 def test_bad_request_refused_before_the_input_is_read(tmp_path, capsys, argv, message):
     cfg = tmp_path / "cfg.json"

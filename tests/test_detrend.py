@@ -32,12 +32,12 @@ from mffdfa.detrend import (
     M_MAX,
     R2_ZERO_TOL,
     RESIDUAL_GUARD,
+    TIE_EPS,
     BasisFunction,
     DesignFit,
     _best_basis,
     _kernel,
     _noise_floor,
-    _r_squared,
     batch_segment_variances,
 )
 
@@ -199,7 +199,7 @@ def test_bounded_floor_selects_as_the_row_floor(offset):
     row_floor = _noise_floor(Y)
     above = ss_tot > row_floor
     assert 0.2 < above.mean() < 0.8
-    expected = _best_basis(_r_squared(ss_tot, row_floor, ss_res))
+    expected = oracles.best_basis_by_r_squared(ss_res, ss_tot, row_floor, TIE_EPS)
     # rows above their floor pick by R^2, rows below tie and take basis 0
     assert np.any(expected[above] != 0) and np.all(expected[~above] == 0)
     _, chosen, _ = batch_segment_variances(Y, bases)
@@ -238,12 +238,30 @@ def test_blocks_select_as_the_whole_batch():
     cubic, line = 2, 3
     assert np.count_nonzero(ss_res[cubic] < RESIDUAL_GUARD * ss_res[line]) >= n_cubic
     assert np.count_nonzero(ss_tot <= floor) >= 40
-    expected = _best_basis(_r_squared(ss_tot, floor, ss_res))
+    expected = oracles.best_basis_by_r_squared(ss_res, ss_tot, floor, TIE_EPS)
 
     fsq, chosen, rank_deficient = batch_segment_variances(Y, bases)
     assert rank_deficient == (False, False, False, True)
     np.testing.assert_array_equal(chosen, expected)
     assert fsq.tobytes() == (ss_res[expected, np.arange(len(Y))] / s).tobytes()
+
+
+def test_ties_within_tie_eps_go_to_the_earliest_basis():
+    """Sums at the tie boundary, on rows of different ss_tot.
+
+    A runner-up 0.5 TIE_EPS * ss_tot above the least ties with it and the
+    earlier basis wins; one 2 TIE_EPS * ss_tot above loses to the least.  On
+    a row under its floor every fit ties, and basis 0 wins over a smaller sum.
+    """
+    ss_tot = np.array([3.0, 1e6, 1e-30])
+    floor = np.array([1e-20, 1e-14, 1e-28])
+    least, gap = 0.25 * ss_tot, np.array([0.5, 2.0, 0.0]) * TIE_EPS * ss_tot
+    ss_res = np.stack([least + gap, least, 0.5 * ss_tot])
+    ss_res[:, 2] = [5e-31, 1e-31, 0.0]
+    assert np.all(ss_tot[:2] > floor[:2]) and ss_tot[2] <= floor[2]
+    np.testing.assert_array_equal(_best_basis(ss_res, ss_tot, floor), [0, 1, 0])
+    np.testing.assert_array_equal(
+        oracles.best_basis_by_r_squared(ss_res, ss_tot, floor, TIE_EPS), [0, 1, 0])
 
 
 def test_overflowing_line_is_refused_not_ranked():

@@ -49,13 +49,15 @@ DIGESTED = [SERIES["fgn"], SERIES["cascade"]] + [
     ("fgn", H, 10_000, seed) for H in (0.3, 0.5, 0.9) for seed in range(10)]
 
 
-def _generate(key, fgn=None):
-    """The series a key names; fGn through ``fgn(H, N, seed)`` when given."""
+def _fgn(hurst, length, seed):
+    return generate_fgn(FbmSpec(hurst=hurst, length=length, seed=seed))
+
+
+def _generate(key, fgn=_fgn):
+    """The series a key names, its fGn from ``fgn(H, N, seed)``."""
     if key[0] == "cascade":
         return generate_cascade(CascadeSpec(a=key[1], n_max=key[2]))
-    if fgn is not None:
-        return fgn(*key[1:])
-    return generate_fgn(FbmSpec(hurst=key[1], length=key[2], seed=key[3]))
+    return fgn(*key[1:])
 
 
 def _name(key) -> str:
@@ -86,13 +88,14 @@ def _deviation(new, old) -> float:
 @pytest.mark.parametrize("series", SERIES)
 def test_output_matches_the_golden_file(series, config, fgn_bank, report):
     path = GOLDEN / f"{series}-{config}.json"
+    golden = path.read_text()
     text = analyze_series(_generate(SERIES[series], fgn_bank), CONFIGS[config]).to_json()
-    new, old = json.loads(text), json.loads(path.read_text())
+    new, old = json.loads(text), json.loads(golden)
     worst = max(_deviation(new[key], old[key]) for key in ("hurst", "spectrum", "delta_alpha"))
-    same = text == path.read_text()
     ok = new["config"] == old["config"] and new["diagnostics"] == old["diagnostics"]
     report(f"golden {path.name}", ok and worst <= RTOL,
-           f"largest relative deviation {worst:.2e} (tol {RTOL:g}); bytes equal: {same}; "
+           f"largest relative deviation {worst:.2e} (tol {RTOL:g}); "
+           f"bytes equal: {text == golden}; "
            f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
     assert new["config"] == old["config"]
     assert new["diagnostics"] == old["diagnostics"]

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from mffdfa import InputError, default_scale_grid, layout
+from mffdfa.segmentation import N_SCALES_MAX
 
 
 def _starts(N, s, k):
@@ -112,6 +113,13 @@ def test_default_grid_rejects_too_few_scales():
     for n_scales in (0, -3):
         with pytest.raises(InputError):
             default_scale_grid(10_000, 30, 1000, n_scales)
+
+
+def test_default_grid_refuses_too_many_scales():
+    # before np.geomspace is asked for them: 10^12 floats would be 8 TB
+    assert default_scale_grid(10_000, 30, 1000, N_SCALES_MAX).size <= 1000 - 30 + 1
+    with pytest.raises(InputError, match="over 10000 scales: n_scales=1000000000000"):
+        default_scale_grid(10_000, 30, 1000, 10 ** 12)
 
 
 @given(st.integers(100, 50_000), st.integers(4, 50), st.integers(5, 60))
