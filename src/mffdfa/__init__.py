@@ -5,36 +5,19 @@ The pipeline mirrors the textbook MFDFA steps -- profile, segmentation,
 detrending, q-order aggregation, scaling fit, Legendre transform -- with
 two modifications: segments may partly overlap (stride floor(s/k)), and
 the trend model may be chosen per segment from a small basis set by
-coefficient of determination instead of being one fixed polynomial.
+least residual sum of squares instead of being one fixed polynomial.
 """
 
-from .detrend import BasisFunction, default_basis_set, polynomial_basis
 from .errors import InputError, NumericalError
-from .fluctuation import FluctuationSurface, default_q_grid, fluctuation_function
-from .generators import (
-    CascadeSpec,
-    FbmSpec,
-    cascade_oracle,
-    fgn_autocovariance,
-    generate_cascade,
-    generate_fgn,
-)
+from .generators import CascadeSpec, FbmSpec, cascade_oracle, generate_cascade, generate_fgn
 from .pipeline import AnalysisConfig, ResultDocument, analyze_series
-from .segmentation import default_scale_grid, layout
-from .signal import build_profile, log_returns
-from .spectrum import GeneralizedHurst, fit_hurst, legendre_transform
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisConfig", "ResultDocument", "analyze_series",
-    "BasisFunction", "default_basis_set", "polynomial_basis",
+    "AnalysisConfig", "analyze_series", "ResultDocument",
+    "FbmSpec", "CascadeSpec", "generate_fgn", "generate_cascade", "cascade_oracle",
     "InputError", "NumericalError",
-    "FluctuationSurface", "default_q_grid", "fluctuation_function",
-    "CascadeSpec", "FbmSpec", "cascade_oracle",
-    "fgn_autocovariance", "generate_cascade", "generate_fgn",
-    "default_scale_grid", "layout", "build_profile", "log_returns",
-    "GeneralizedHurst", "fit_hurst", "legendre_transform",
     "__version__",
 ]
 

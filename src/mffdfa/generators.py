@@ -34,12 +34,12 @@ class FbmSpec:
     output: str = "increments"
 
     def __post_init__(self):
-        _check_number("hurst", self.hurst, numbers.Real)
+        object.__setattr__(self, "hurst", _check_number("hurst", self.hurst, numbers.Real))
         if not 0.0 < self.hurst < 1.0:
             raise InputError(f"Hurst exponent must lie strictly in (0, 1), got {self.hurst}")
-        _check_number("length", self.length, numbers.Integral)
-        if self.length < 2:
-            raise InputError(f"length must be >= 2, got {self.length}")
+        object.__setattr__(self, "length", _check_number("length", self.length, numbers.Integral))
+        if not 2 <= self.length <= 2 ** 26:
+            raise InputError(f"length must be in [2, 2^26] (the memory guard), got {self.length}")
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise InputError(f"seed must be a non-negative integer, got {seed!r}")
@@ -47,12 +47,21 @@ class FbmSpec:
             raise InputError(f"output must be 'increments' or 'path', got {self.output!r}")
 
 
-def _check_number(name: str, value, kind: type) -> None:
-    """Refuse a spec field that is not of the numbers ABC kind (Python and
-    NumPy numbers alike), or is a bool."""
+def _check_number(name: str, value, kind: type) -> int | float:
+    """A spec field as a plain int or float (2 ** n_max wraps in a small NumPy integer);
+    refused if not of the numbers ABC kind (NumPy numbers too), or a bool."""
     if isinstance(value, bool) or not isinstance(value, kind):
         noun = "an integer" if kind is numbers.Integral else "a real number"
         raise InputError(f"{name} must be {noun}, got {value!r}")
+    return int(value) if kind is numbers.Integral else float(value)
+
+
+def _check_cascade_a(a) -> float:
+    """The cascade parameter a as a plain float in (0.5, 1)."""
+    a = _check_number("a", a, numbers.Real)
+    if not 0.5 < a < 1.0:
+        raise InputError(f"cascade parameter a must lie in (0.5, 1), got {a}")
+    return a
 
 
 def fgn_autocovariance(hurst: float, n: int) -> np.ndarray:
@@ -105,10 +114,8 @@ class CascadeSpec:
     n_max: int
 
     def __post_init__(self):
-        _check_number("a", self.a, numbers.Real)
-        if not 0.5 < self.a < 1.0:
-            raise InputError(f"cascade parameter a must lie in (0.5, 1), got {self.a}")
-        _check_number("n_max", self.n_max, numbers.Integral)
+        object.__setattr__(self, "a", _check_cascade_a(self.a))
+        object.__setattr__(self, "n_max", _check_number("n_max", self.n_max, numbers.Integral))
         if not 1 <= self.n_max <= 26:
             raise InputError(f"n_max={self.n_max} outside [1, 26] (2^26 is the memory guard)")
 
@@ -144,9 +151,7 @@ def cascade_oracle(a: float) -> CascadeOracle:
 
     Evaluated through logaddexp so extreme |q| cannot overflow a^q.
     """
-    _check_number("a", a, numbers.Real)
-    if not 0.5 < a < 1.0:
-        raise InputError(f"cascade parameter a must lie in (0.5, 1), got {a}")
+    a = _check_cascade_a(a)
     la, lb = np.log(a), np.log1p(-a)
 
     def tau(q):

@@ -11,20 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from mffdfa import (
-    CascadeSpec,
-    build_profile,
-    cascade_oracle,
-    default_basis_set,
-    default_q_grid,
-    default_scale_grid,
-    fit_hurst,
-    fluctuation_function,
-    generate_cascade,
-    legendre_transform,
-    polynomial_basis,
-)
+from mffdfa import CascadeSpec, cascade_oracle, generate_cascade
 from mffdfa.cli import main as cli_main
+from mffdfa.detrend import default_basis_set, polynomial_basis
+from mffdfa.fluctuation import default_q_grid, fluctuation_function
+from mffdfa.segmentation import default_scale_grid
+from mffdfa.signal import build_profile
+from mffdfa.spectrum import fit_hurst, legendre_transform
 
 import oracles
 

@@ -19,6 +19,9 @@ from mffdfa.cli import (
     main,
     read_series,
 )
+from mffdfa.detrend import polynomial_basis
+from mffdfa.fluctuation import default_q_grid
+from mffdfa.segmentation import default_scale_grid
 
 EXPECTED_KEYS = {"config", "hurst", "spectrum", "delta_alpha", "diagnostics"}
 
@@ -545,6 +548,16 @@ def test_generate_negative_seed_exits_two(tmp_path, capsys, seed):
     assert not out.exists()
 
 
+def test_generate_length_above_the_memory_guard_exits_two(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    out.write_text("kept\n")
+    assert main(["generate", "fgn", "--hurst", "0.5", "--length", "1000000000000",
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: input: length must be in [2, 2^26] "
+                                       "(the memory guard), got 1000000000000\n")
+    assert out.read_text() == "kept\n"
+
+
 def test_generate_missing_parameters_exit_two(capsys):
     assert main(["generate", "cascade", "--a", "0.65"]) == 2
     assert main(["generate", "fgn", "--hurst", "0.5"]) == 2
@@ -779,7 +792,7 @@ def test_m_range_has_one_message(tmp_path, capsys):
     src = tmp_path / "x.csv"
     _write_series(src, np.random.default_rng(0).normal(size=800))
     with pytest.raises(InputError) as basis:
-        mffdfa.polynomial_basis(11)
+        polynomial_basis(11)
     with pytest.raises(InputError) as config:
         AnalysisConfig(method="mfdfa", m=11)
     assert main(["sweep-m", str(src), "--m-min", "2", "--m-max", "11"]) == 2
@@ -849,8 +862,8 @@ def test_grid_defaults_are_the_config_defaults():
     build the grids that analyze_series runs under AnalysisConfig()."""
     x = generate_fgn(FbmSpec(hurst=0.5, length=2000, seed=4))
     doc = analyze_series(x, AnalysisConfig())
-    np.testing.assert_array_equal(doc.hurst.q_grid, mffdfa.default_q_grid())
-    np.testing.assert_array_equal(doc.surface.scales, mffdfa.default_scale_grid(x.size))
+    np.testing.assert_array_equal(doc.hurst.q_grid, default_q_grid())
+    np.testing.assert_array_equal(doc.surface.scales, default_scale_grid(x.size))
     args = mffdfa.cli.build_parser().parse_args(["oracle", "--a", "0.65"])
     assert (args.q_min, args.q_max, args.q_step) == (-10.0, 10.0, 0.2) == (
         AnalysisConfig().q_min, AnalysisConfig().q_max, AnalysisConfig().q_step)

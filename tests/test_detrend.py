@@ -14,17 +14,10 @@ from mffdfa import (
     InputError,
     NumericalError,
     analyze_series,
-    default_basis_set,
-    default_scale_grid,
     generate_cascade,
     generate_fgn,
     CascadeSpec,
     FbmSpec,
-    build_profile,
-    fluctuation_function,
-    default_q_grid,
-    layout,
-    polynomial_basis,
 )
 from mffdfa.detrend import (
     ABSCISSAS,
@@ -39,7 +32,12 @@ from mffdfa.detrend import (
     _kernel,
     _noise_floor,
     batch_segment_variances,
+    default_basis_set,
+    polynomial_basis,
 )
+from mffdfa.fluctuation import default_q_grid, fluctuation_function
+from mffdfa.segmentation import default_scale_grid, layout
+from mffdfa.signal import build_profile
 
 import oracles
 
@@ -78,7 +76,6 @@ def test_cubic_matches_normal_equations_oracle(fit_one, rng):
 
 
 def test_rank_deficient_design_is_flagged(fit_one):
-    from mffdfa import BasisFunction
     dup = BasisFunction("dup", (lambda t: 2 * t,))
     fit = fit_one(np.arange(20.0), dup)
     assert fit.rank_deficient
@@ -86,7 +83,6 @@ def test_rank_deficient_design_is_flagged(fit_one):
 
 
 def test_lead_terms_inside_the_line_add_no_direction(fit_one, rng):
-    from mffdfa import BasisFunction
     # a rank-deficient design whose span is exactly {1, t}
     dup = BasisFunction("dup", (lambda t: 2 * t,))
     design = DesignFit(20, [dup])
@@ -624,7 +620,6 @@ def test_row_alone_agrees_with_row_in_batch(batch):
 
 def test_column_scaling_equivalence(fit_one, rng):
     """Pre-scaling a design column must not move the fitted values."""
-    from mffdfa import BasisFunction
     y = rng.standard_normal(70)
     plain = BasisFunction("plain", (lambda t: t ** 3,))
     scaled = BasisFunction("scaled", (lambda t: 1e-6 * t ** 3,))

@@ -11,17 +11,14 @@ from mffdfa import (
     InputError,
     NumericalError,
     analyze_series,
-    build_profile,
-    default_basis_set,
-    default_q_grid,
-    default_scale_grid,
-    fit_hurst,
-    fluctuation_function,
     generate_cascade,
-    polynomial_basis,
 )
-from mffdfa.detrend import BLOCK_VALUES, batch_segment_variances
-from mffdfa.segmentation import layout
+from mffdfa.detrend import (BLOCK_VALUES, batch_segment_variances, default_basis_set,
+                            polynomial_basis)
+from mffdfa.fluctuation import default_q_grid, fluctuation_function
+from mffdfa.segmentation import default_scale_grid, layout
+from mffdfa.signal import build_profile
+from mffdfa.spectrum import fit_hurst
 
 import oracles
 

@@ -6,10 +6,10 @@ from mffdfa import (
     FbmSpec,
     InputError,
     cascade_oracle,
-    fgn_autocovariance,
     generate_cascade,
     generate_fgn,
 )
+from mffdfa.generators import fgn_autocovariance
 
 import oracles
 
@@ -116,6 +116,27 @@ def test_specs_take_numpy_numbers():
     np.testing.assert_array_equal(
         generate_cascade(CascadeSpec(a=np.float32(0.75), n_max=np.int64(5))),
         generate_cascade(CascadeSpec(a=0.75, n_max=5)))
+    # stored as plain Python numbers, as AnalysisConfig stores them
+    fbm = FbmSpec(hurst=np.float32(0.5), length=np.int16(20))
+    cascade = CascadeSpec(a=np.float32(0.75), n_max=np.int8(5))
+    assert [type(v) for v in (fbm.hurst, fbm.length, cascade.a, cascade.n_max)] == [
+        float, int, float, int]
+
+
+@pytest.mark.parametrize("n_max", [np.int8(10), np.int16(16), np.uint8(8)])
+def test_cascade_takes_a_small_numpy_n_max(n_max):
+    """2 ** n_max is taken on a plain int, so it cannot wrap in the small type."""
+    x = generate_cascade(CascadeSpec(a=0.65, n_max=n_max))
+    assert x.size == 2 ** int(n_max)
+    assert x.tobytes() == generate_cascade(CascadeSpec(a=0.65, n_max=int(n_max))).tobytes()
+
+
+@pytest.mark.parametrize("length", [2 ** 26 + 1, np.int64(10 ** 12), 10 ** 30])
+def test_fbm_spec_refuses_more_than_the_memory_guard(length):
+    """Refused when the spec is made, before anything is allocated."""
+    with pytest.raises(InputError, match=r"^length must be in \[2, 2\^26\] \(the memory guard\)"):
+        FbmSpec(hurst=0.5, length=length)
+    assert FbmSpec(hurst=0.5, length=2 ** 26).length == 2 ** 26
 
 
 def test_cascade_hand_case():

@@ -1,14 +1,17 @@
-"""Smoke runs of every experiment, each in a fresh interpreter.
+"""Smoke runs of every experiment and of the README's quick start, each in a
+fresh interpreter, and the names the package root exports.
 
-The experiment script imports the package's public names; a renamed or
-removed name fails here, not only when someone next runs an experiment.
-The cases come from the script's own subcommands, so an experiment added
-without a smoke run fails too.
+The experiment script and the README import the package's public names; a
+renamed or removed name fails here, not only when someone next runs an
+experiment or copies the quick start.  The cases come from the script's own
+subcommands, so an experiment added without a smoke run fails too.
 """
 
 import argparse
+import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +20,8 @@ import pytest
 
 import mffdfa
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "experiment.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "experiment.py"
 
 # subcommand -> (arguments, start of a line its table must print)
 SMOKE = {
@@ -45,3 +49,38 @@ def test_experiment_script_prints_its_table(experiment):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert any(line.startswith(row) for line in lines), proc.stdout
+
+
+def test_readme_quick_start_runs():
+    (code,) = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                         re.M | re.S)
+    env = dict(os.environ, PYTHONPATH=str(Path(mffdfa.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert proc.stdout.startswith("h(2) = "), proc.stdout
+
+
+#: the stage-level names the root no longer exports, by defining module
+STAGE_NAMES = {
+    "detrend": ("BasisFunction", "default_basis_set", "polynomial_basis"),
+    "fluctuation": ("FluctuationSurface", "default_q_grid", "fluctuation_function"),
+    "generators": ("fgn_autocovariance",),
+    "segmentation": ("default_scale_grid", "layout"),
+    "signal": ("build_profile", "log_returns"),
+    "spectrum": ("GeneralizedHurst", "fit_hurst", "legendre_transform"),
+}
+
+
+def test_root_exports_the_pipeline_the_generators_and_the_errors():
+    assert sorted(mffdfa.__all__) == sorted([
+        "AnalysisConfig", "analyze_series", "ResultDocument",
+        "FbmSpec", "CascadeSpec", "generate_fgn", "generate_cascade", "cascade_oracle",
+        "InputError", "NumericalError", "__version__"])
+    for name in mffdfa.__all__:
+        getattr(mffdfa, name)
+    for module, names in STAGE_NAMES.items():
+        module = importlib.import_module(f"mffdfa.{module}")
+        for name in names:
+            assert callable(getattr(module, name)), (module.__name__, name)
+            assert not hasattr(mffdfa, name), name

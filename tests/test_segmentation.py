@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from mffdfa import InputError, default_scale_grid, layout
-from mffdfa.segmentation import N_SCALES_MAX
+from mffdfa import InputError
+from mffdfa.segmentation import N_SCALES_MAX, default_scale_grid, layout
 
 
 def _starts(N, s, k):

@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mffdfa import InputError, build_profile, log_returns
+from mffdfa import InputError
 from mffdfa.detrend import BLOCK_VALUES
+from mffdfa.signal import build_profile, log_returns
 
 import oracles
 

@@ -6,18 +6,15 @@ import pytest
 
 from mffdfa import (
     AnalysisConfig,
-    FluctuationSurface,
-    GeneralizedHurst,
     InputError,
     NumericalError,
     analyze_series,
     cascade_oracle,
     CascadeSpec,
-    default_q_grid,
-    fit_hurst,
     generate_cascade,
-    legendre_transform,
 )
+from mffdfa.fluctuation import FluctuationSurface, default_q_grid
+from mffdfa.spectrum import GeneralizedHurst, fit_hurst, legendre_transform
 
 import oracles
 
