@@ -27,6 +27,7 @@ So one least-squares kernel serves every candidate at once:
   |C_b|^2.
 * Guard: where ss_res_b < RESIDUAL_GUARD * |R|^2 that difference has lost
   digits, and those segments take the explicit residual R - W_b W_b^T R.
+  One test covers every basis of a block; most blocks have no such row.
 * Noise floor: |y_t| <= |y_mid| + |Z|, with |Z|^2 = ss_tot + C_1^2, bounds
   a segment's floor from sums already at hand.  Only segments whose ss_tot
   does not clear that bound -- the numerically constant ones -- take the
@@ -129,12 +130,15 @@ def _kernel(Y: np.ndarray, design: DesignFit):
     ss_res = np.empty((len(design.spans), Y.shape[0]))
     for b, cols in enumerate(design.spans):
         Cb = C[:, cols]
-        ss_res[b] = rr - np.einsum("ij,ij->i", Cb, Cb)
-        low = np.flatnonzero(ss_res[b] < RESIDUAL_GUARD * rr)
-        if low.size:
-            resid = R[low]
-            _remove_span(resid, B[:, cols])
-            ss_res[b, low] = np.einsum("ij,ij->i", resid, resid)
+        np.subtract(rr, np.einsum("ij,ij->i", Cb, Cb), out=ss_res[b])
+    low = ss_res < RESIDUAL_GUARD * rr
+    if low.any():
+        for b, cols in enumerate(design.spans):
+            rows = np.flatnonzero(low[b])
+            if rows.size:
+                resid = R[rows]
+                _remove_span(resid, B[:, cols])
+                ss_res[b, rows] = np.einsum("ij,ij->i", resid, resid)
     ss_tot = rr + C[:, 1] ** 2
     # |y_t| <= |y_mid| + |Z| with |Z|^2 = ss_tot + C_1^2; the factor 2 covers
     # rounding, so rows whose ss_tot clears this bound clear their own floor

@@ -40,6 +40,9 @@ class FbmSpec:
         object.__setattr__(self, "length", _check_number("length", self.length, numbers.Integral))
         if not 2 <= self.length <= 2 ** 26:
             raise InputError(f"length must be in [2, 2^26] (the memory guard), got {self.length}")
+        if self.hurst != 0.5 and self.length > 2 ** 17:   # 4 times the time per doubling
+            raise InputError(f"length must be at most 2^17 at hurst != 0.5, where the O(N^2) "
+                             f"recursion runs (about 20 s at 2^17), got {self.length}")
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise InputError(f"seed must be a non-negative integer, got {seed!r}")
@@ -77,7 +80,7 @@ def generate_fgn(spec: FbmSpec) -> np.ndarray:
     Levinson-Durbin on the target autocovariance: at step m the new sample
     is drawn from its exact conditional distribution given the past, so the
     output has the fGn covariance exactly (not asymptotically).  O(N^2) time
-    for correlated H, which is perfectly affordable at N ~ 10^4.  White noise
+    for correlated H: affordable at N ~ 10^4, refused above 2^17.  White noise
     (H = 0.5, where gamma vanishes beyond lag 0) skips the recursion and costs
     O(N), with the same values the recursion gives.  Deterministic given the
     seed.
@@ -123,11 +126,12 @@ class CascadeSpec:
 def generate_cascade(spec: CascadeSpec) -> np.ndarray:
     """x_k = a^{n(k-1)} (1-a)^{n_max - n(k-1)}, n(j) = ones in binary j.
 
-    Powers come from popcounts, not repeated multiplication, so the output
-    is bit-reproducible and sums to 1 up to rounding (binomial theorem).
+    The n_max + 1 weights are powers, looked up by popcount, not products of
+    factors, so the output is bit-reproducible and sums to 1 up to rounding.
     """
-    ones = np.bitwise_count(np.arange(2 ** spec.n_max, dtype=np.uint32)).astype(np.int64)
-    return spec.a ** ones * (1.0 - spec.a) ** (spec.n_max - ones)
+    k = np.arange(spec.n_max + 1)
+    weights = spec.a ** k * (1.0 - spec.a) ** (spec.n_max - k)
+    return weights[np.bitwise_count(np.arange(2 ** spec.n_max, dtype=np.uint32))]
 
 
 @dataclass(frozen=True)

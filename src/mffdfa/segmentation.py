@@ -9,7 +9,7 @@ the series end.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InputError
 
@@ -28,13 +28,15 @@ def layout(profile: np.ndarray, s: int, k: int) -> np.ndarray:
 
     Stride is floor(s/k); windows run forward from offset 0 and any tail
     shorter than one stride is discarded, so M = floor((N - s)/stride) + 1.
-    The rows are a read-only sliding_window_view: nothing is copied.
+    The rows are a read-only view, sliding_window_view(profile, s)[::stride]
+    built in one call: nothing is copied.
     """
     N = len(profile)
     if s > N:
         raise InputError(f"scale s={s} exceeds series length N={N}")
     check_overlap(s, k)
-    return sliding_window_view(profile, s)[::s // k]
+    step, item = s // k, profile.strides[0]    # bytes from one sample to the next
+    return as_strided(profile, ((N - s) // step + 1, s), (step * item, item), writeable=False)
 
 
 #: the most scales a grid may ask for, as Q_NODES_MAX caps the q grid

@@ -249,6 +249,13 @@ def popcount_cascade(a, n_max):
     ])
 
 
+def powers_per_point_cascade(a, n_max):
+    """Binomial cascade with both powers taken at every one of the 2^n_max
+    points, not looked up from a table of n_max + 1 weights."""
+    ones = np.bitwise_count(np.arange(2 ** n_max, dtype=np.uint32)).astype(np.int64)
+    return a ** ones * (1.0 - a) ** (n_max - ones)
+
+
 def cascade_oracle_mpmath(a, q_values, dps=50):
     """High-precision tau/alpha/f/h for the cascade, straight from the formulas."""
     with mpmath.workdps(dps):

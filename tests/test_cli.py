@@ -558,6 +558,18 @@ def test_generate_length_above_the_memory_guard_exits_two(tmp_path, capsys):
     assert out.read_text() == "kept\n"
 
 
+def test_generate_long_correlated_fgn_exits_two(tmp_path, capsys):
+    # one point over the cap: without it this would run the O(N^2) recursion
+    # for about 20 s, not for the months 2^26 points would take
+    out = tmp_path / "x.csv"
+    out.write_text("kept\n")
+    assert main(["generate", "fgn", "--hurst", "0.7", "--length", str(2 ** 17 + 1),
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: input: length must be at most 2^17 at hurst != 0.5, where the O(N^2) recursion")
+    assert out.read_text() == "kept\n"
+
+
 def test_generate_missing_parameters_exit_two(capsys):
     assert main(["generate", "cascade", "--a", "0.65"]) == 2
     assert main(["generate", "fgn", "--hurst", "0.5"]) == 2

@@ -15,7 +15,7 @@ from mffdfa import (
 )
 from mffdfa.detrend import (BLOCK_VALUES, batch_segment_variances, default_basis_set,
                             polynomial_basis)
-from mffdfa.fluctuation import default_q_grid, fluctuation_function
+from mffdfa.fluctuation import default_q_grid, fluctuation_function, logsumexp
 from mffdfa.segmentation import default_scale_grid, layout
 from mffdfa.signal import build_profile
 from mffdfa.spectrum import fit_hurst
@@ -82,6 +82,11 @@ def test_segment_variance_matches_direct_sum(fit_one, rng):
     for m in (1, 2, 3):
         variances, direct = _variances_vs_oracle(fit_one, segments, m)
         np.testing.assert_allclose(variances, direct, rtol=1e-12)
+
+
+def _package_lse(a, axis):
+    """The package's logsumexp, given the maxima it is passed in production."""
+    return logsumexp(a, axis, a.max(axis=axis))
 
 
 def _white_profile(n=4000, seed=3):
@@ -186,7 +191,7 @@ def test_aggregation_equals_per_q_loop(monkeypatch, profile, scales, k, policy, 
     q = default_q_grid()
     surface = fl.fluctuation_function(profile, scales, k, policy, q)
     # the loop reduces with the package's logsumexp, so blocking must not move a bit
-    expected = np.column_stack([oracles.power_means_per_q(fsq, q, fl.logsumexp)
+    expected = np.column_stack([oracles.power_means_per_q(fsq, q, _package_lse)
                                 for fsq in recorded])
     np.testing.assert_array_equal(surface.values, expected)
     # and SciPy's logsumexp agrees to rounding
@@ -195,14 +200,41 @@ def test_aggregation_equals_per_q_loop(monkeypatch, profile, scales, k, policy, 
     assert (int(surface.excluded_counts.sum()) > 0) == excludes
 
 
+@pytest.mark.parametrize("profile, scales, k, q, excludes", [
+    (_white_profile(10_000), default_scale_grid(10_000), 2, default_q_grid(), False),
+    # no node at q = 0, and nodes far beyond the default grid's
+    (_white_profile(10_000), default_scale_grid(10_000), 2,
+     np.array([-60.0, -3.1, -0.7, 0.3, 4.9, 60.0]), False),
+    # exclusions: ln F^2 holds only the nonzero variances
+    (_zero_variance_profile(), np.array([30, 40, 50, 60]), 1, default_q_grid(-2, 2, 0.5), True),
+])
+def test_logsumexp_given_the_exact_peak_moves_no_bit(profile, scales, k, q, excludes):
+    """A row's peak taken as q/2 times the largest ln F^2 (q > 0) or the
+    least (q < 0) is a.max() bit for bit: rounding a product by a fixed
+    factor is monotone.  So the surface built from it has the bytes of the
+    per-q loop, whose logsumexp takes each row's a.max()."""
+    half = q[q != 0.0] / 2.0
+    surface = fluctuation_function(profile, scales, k, _poly(2), q)
+    excluded = 0
+    for j, s in enumerate(scales):
+        fsq, _, _ = batch_segment_variances(layout(profile, int(s), k), _poly(2))
+        excluded += int(np.count_nonzero(fsq == 0.0))
+        log_fsq = np.log(fsq[fsq > 0.0])
+        a = half[:, None] * log_fsq
+        peak = half * np.where(half > 0.0, log_fsq.max(), log_fsq.min())
+        assert peak.tobytes() == a.max(axis=1).tobytes()
+        expected = oracles.power_means_per_q(fsq, q, _package_lse)
+        assert surface.values[:, j].tobytes() == expected.tobytes()
+    assert (excluded > 0) == excludes
+
+
 def test_logsumexp_matches_scipy_without_overflow(rng):
     from scipy.special import logsumexp as scipy_logsumexp
-    import mffdfa.fluctuation as fl
     a = rng.standard_normal((7, 300)) * np.array([1e-3, 1, 10, 100, 700, 1e4, 1e6])[:, None]
-    out = fl.logsumexp(a, axis=1)
+    out = _package_lse(a, 1)
     assert np.all(np.isfinite(out))
     np.testing.assert_allclose(out, scipy_logsumexp(a, axis=1), rtol=1e-14)
-    assert out[3] == fl.logsumexp(a[3], axis=0)
+    assert out[3] == _package_lse(a[3], 0)
 
 
 def _traced_peak(run):
@@ -216,12 +248,12 @@ def _traced_peak(run):
 
 
 def test_aggregation_memory_stays_within_its_blocks(monkeypatch):
-    """The q sums hold three temporaries of one block next to a few
+    """The q sums hold two temporaries of one block next to a few
     per-segment vectors, at every scale and for the whole q grid.
 
-    At s = 30 the 2^17-point profile has more segments than a block's
-    share of BLOCK_VALUES, so its blocks are single rows; larger scales
-    stack rows.
+    At s = 30 the 2^17-point profile has more segments than a quarter of
+    BLOCK_VALUES, and a block of BLOCK_VALUES / 3 values holds one row;
+    larger scales stack rows.
     """
     import mffdfa.fluctuation as fl
     monkeypatch.setattr(fl, "batch_segment_variances",
@@ -234,9 +266,9 @@ def test_aggregation_memory_stays_within_its_blocks(monkeypatch):
     assert M > BLOCK_VALUES // 4
     peak = _traced_peak(lambda: fl.fluctuation_function(profile, scales, k, _poly(2),
                                                         default_q_grid()))
-    # a block's three temporaries, then F^2, the winners, the nonzero mask,
+    # a block's two temporaries, then F^2, the winners, the nonzero mask,
     # ln F^2 and its argument, and a margin for the (q, scale) tables
-    assert peak <= 8 * (3 * max(BLOCK_VALUES // 4, M) + 6 * M)
+    assert peak <= 8 * (2 * max(BLOCK_VALUES // 3, M) + 6 * M)
 
 
 def test_analysis_memory_stays_near_two_profiles():

@@ -139,6 +139,26 @@ def test_fbm_spec_refuses_more_than_the_memory_guard(length):
     assert FbmSpec(hurst=0.5, length=2 ** 26).length == 2 ** 26
 
 
+@pytest.mark.parametrize("hurst", [0.3, 0.7, np.nextafter(0.5, 1.0)])
+def test_fbm_spec_refuses_a_long_correlated_series(hurst):
+    """At H != 0.5 the O(N^2) recursion caps the length at 2^17, when the
+    spec is made; white noise keeps the memory guard's 2^26.  Only specs are
+    made: nothing is generated at these sizes."""
+    with pytest.raises(InputError, match=r"^length must be at most 2\^17 at hurst != 0\.5, "
+                                         r"where the O\(N\^2\) recursion runs"):
+        FbmSpec(hurst=hurst, length=2 ** 17 + 1)
+    assert FbmSpec(hurst=hurst, length=2 ** 17).length == 2 ** 17
+    assert FbmSpec(hurst=0.5, length=2 ** 17 + 1).length == 2 ** 17 + 1
+
+
+@pytest.mark.parametrize("a", [0.55, (5 ** 0.5 - 1) / 2, 0.65, 0.7, 0.75, 0.8, 0.95])
+@pytest.mark.parametrize("n_max", [1, 2, 7, 10, 13])
+def test_cascade_table_lookup_gives_the_per_point_powers(a, n_max):
+    """Looking the weights up by popcount moves no bit of the powers taken per point."""
+    x = generate_cascade(CascadeSpec(a=a, n_max=n_max))
+    assert x.tobytes() == oracles.powers_per_point_cascade(a, n_max).tobytes()
+
+
 def test_cascade_hand_case():
     x = generate_cascade(CascadeSpec(a=0.65, n_max=2))
     np.testing.assert_allclose(x, [0.1225, 0.2275, 0.2275, 0.4225], rtol=1e-15)

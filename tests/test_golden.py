@@ -9,7 +9,7 @@ must be equal, and every float of ``hurst``, ``spectrum`` and
 its largest deviation, whether the bytes are equal and the
 OPENBLAS_NUM_THREADS it ran with.  A change that moves numbers on purpose
 rewrites the files in the same diff, with this command from the
-repository root:
+repository root; it refuses to write at any other OPENBLAS_NUM_THREADS:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden.py
 """
@@ -17,11 +17,14 @@ repository root:
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mffdfa
 from mffdfa import (AnalysisConfig, CascadeSpec, FbmSpec, analyze_series,
                     generate_cascade, generate_fgn)
 
@@ -107,7 +110,29 @@ def test_generators_give_the_digested_series(fgn_bank):
     assert {_name(key): _digest(_generate(key, fgn_bank)) for key in DIGESTED} == digests
 
 
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_rewriting_refuses_more_than_one_blas_thread(tmp_path, threads):
+    """The command above writes nothing unless OPENBLAS_NUM_THREADS is 1.
+    It runs on a copy of this file, so a broken guard writes beside the copy."""
+    script = tmp_path / "test_golden.py"
+    script.write_text(Path(__file__).read_text())
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(mffdfa.__file__).resolve().parents[1])
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "run with OPENBLAS_NUM_THREADS=1" in proc.stderr
+    assert not (tmp_path / "golden").exists()
+
+
 if __name__ == "__main__":
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        # BLAS splits a product by thread count, and the split moves its rounding:
+        # at two threads the cascade files differ from the one-thread bytes by 2e-13
+        sys.exit("refusing to write tests/golden/: the files are written at one BLAS "
+                 "thread; run with OPENBLAS_NUM_THREADS=1")
     GOLDEN.mkdir(exist_ok=True)
     for series, key in SERIES.items():
         x = _generate(key)

@@ -92,6 +92,34 @@ def test_strided_window_view_has_the_layout_starts(N, s, k):
     assert segments.strides == sliding_window_view(y, s)[::s // k].strides
 
 
+def _profile_as(form: str, N: int) -> np.ndarray:
+    base = np.random.default_rng(N).standard_normal(3 * N)
+    if form == "read-only":
+        y = base[:N].copy()
+        y.flags.writeable = False
+        return y
+    return {"contiguous": base[:N], "every-third": base[::3],
+            "reversed": base[:N][::-1], "float32": base[:N].astype(np.float32)}[form]
+
+
+@pytest.mark.parametrize("form", ["contiguous", "read-only", "every-third", "reversed", "float32"])
+@pytest.mark.parametrize("N, s, k", [(300, 100, 2), (1001, 30, 3), (64, 64, 4), (50, 7, 7),
+                                     (10, 1, 1)])
+def test_layout_is_the_strided_sliding_window_view(form, N, s, k):
+    """Shape, strides, dtype, values and the read-only flag of
+    sliding_window_view(y, s)[::s // k], on a contiguous profile and on a
+    strided view of one; the profile keeps its own flag."""
+    y = _profile_as(form, N)
+    writeable = y.flags.writeable
+    segments = layout(y, s, k)
+    expected = sliding_window_view(y, s)[::s // k]
+    assert (segments.shape, segments.strides, segments.dtype) == (
+        expected.shape, expected.strides, expected.dtype)
+    assert segments.tobytes() == expected.tobytes()
+    assert np.shares_memory(segments, y)
+    assert not segments.flags.writeable and y.flags.writeable == writeable
+
+
 def test_default_grid_standard_parameters():
     grid = default_scale_grid(10_000)
     assert grid[0] == 30
