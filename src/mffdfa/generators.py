@@ -44,8 +44,9 @@ class FbmSpec:
             raise InputError(f"length must be at most 2^17 at hurst != 0.5, where the O(N^2) "
                              f"recursion runs (about 20 s at 2^17), got {self.length}")
         seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
             raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+        object.__setattr__(self, "seed", int(seed))
         if self.output not in ("increments", "path"):
             raise InputError(f"output must be 'increments' or 'path', got {self.output!r}")
 
@@ -81,32 +82,26 @@ def generate_fgn(spec: FbmSpec) -> np.ndarray:
     is drawn from its exact conditional distribution given the past, so the
     output has the fGn covariance exactly (not asymptotically).  O(N^2) time
     for correlated H: affordable at N ~ 10^4, refused above 2^17.  White noise
-    (H = 0.5, where gamma vanishes beyond lag 0) skips the recursion and costs
-    O(N), with the same values the recursion gives.  Deterministic given the
-    seed.
+    (H = 0.5, where gamma is 1 at lag 0 and 0 beyond) is the seed's standard
+    normal draws themselves, the values the recursion would give: O(N) time
+    and no array but the draws, also for the path, which is summed in place.
+    Deterministic given the seed.
     """
     n = spec.length
-    gamma = fgn_autocovariance(spec.hurst, n)
-    rng = np.random.default_rng(spec.seed)
-    z = rng.standard_normal(n)
-
-    if not gamma[1:].any():
-        # every kappa and phi is 0, so the recursion returns 0.0 + sqrt(gamma[0]) z
-        x = np.sqrt(gamma[0]) * z
-        return np.cumsum(x) if spec.output == "path" else x
-    x = np.empty(n)
-    phi = np.zeros(n)
-    x[0] = np.sqrt(gamma[0]) * z[0]
-    v = gamma[0]
-    for m in range(1, n):
-        kappa = (gamma[m] - phi[: m - 1] @ gamma[m - 1:0:-1]) / v
-        phi[: m - 1] -= kappa * phi[: m - 1][::-1]
-        phi[m - 1] = kappa
-        v *= 1.0 - kappa * kappa
-        x[m] = phi[:m] @ x[m - 1::-1] + np.sqrt(v) * z[m]
-    if spec.output == "path":
-        return np.cumsum(x)
-    return x
+    x = z = np.random.default_rng(spec.seed).standard_normal(n)
+    if spec.hurst != 0.5:
+        gamma = fgn_autocovariance(spec.hurst, n)
+        x = np.empty(n)
+        phi = np.zeros(n)
+        x[0] = np.sqrt(gamma[0]) * z[0]
+        v = gamma[0]
+        for m in range(1, n):
+            kappa = (gamma[m] - phi[: m - 1] @ gamma[m - 1:0:-1]) / v
+            phi[: m - 1] -= kappa * phi[: m - 1][::-1]
+            phi[m - 1] = kappa
+            v *= 1.0 - kappa * kappa
+            x[m] = phi[:m] @ x[m - 1::-1] + np.sqrt(v) * z[m]
+    return np.cumsum(x, out=x) if spec.output == "path" else x
 
 
 @dataclass(frozen=True)

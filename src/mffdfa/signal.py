@@ -61,9 +61,8 @@ def build_profile(series, *, exponent: int = 0) -> np.ndarray:
     carry = None                    # not 0.0, which would turn a leading -0.0 into +0.0
     for i in range(0, x.size, BLOCK_VALUES):
         wide = x[i:i + BLOCK_VALUES].astype(np.longdouble)
-        if exponent:
-            wide *= scale[0]
-            wide *= scale[1]
+        wide *= scale[0]
+        wide *= scale[1]
         wide -= mean
         if carry is not None:
             wide[0] += carry

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,44 @@ def test_path_is_cumsum_of_increments():
     np.testing.assert_allclose(path, np.cumsum(inc), rtol=1e-12)
 
 
+@pytest.mark.parametrize("hurst", [0.5, 0.7])
+def test_path_is_exactly_the_cumsum_of_the_increments(hurst):
+    inc = generate_fgn(FbmSpec(hurst=hurst, length=1000, seed=5))
+    path = generate_fgn(FbmSpec(hurst=hurst, length=1000, seed=5, output="path"))
+    assert path.tobytes() == np.cumsum(inc).tobytes()
+
+
+@pytest.mark.parametrize("output", ["increments", "path"])
+def test_white_noise_holds_only_its_draws(output):
+    """At H = 0.5 the generator allocates the N draws and nothing N-long
+    besides: no autocovariance, and the path is summed in place."""
+    n = 2 ** 20
+    generate_fgn(FbmSpec(hurst=0.5, length=2, output=output))   # one-time imports
+    tracemalloc.start()
+    try:
+        generate_fgn(FbmSpec(hurst=0.5, length=n, seed=1, output=output))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * n, peak / (8 * n)
+
+
+def test_only_correlated_noise_takes_the_autocovariance(monkeypatch):
+    calls = []
+
+    def autocovariance(hurst, n):
+        if hurst == 0.5:
+            raise AssertionError("white noise needs no autocovariance")
+        calls.append(hurst)
+        return fgn_autocovariance(hurst, n)
+
+    monkeypatch.setattr("mffdfa.generators.fgn_autocovariance", autocovariance)
+    for output in ("increments", "path"):
+        generate_fgn(FbmSpec(hurst=0.5, length=100, output=output))
+    generate_fgn(FbmSpec(hurst=0.7, length=100))
+    assert calls == [0.7]
+
+
 @pytest.mark.parametrize("h", [0.0, 1.0, -0.2, 1.7])
 def test_fbm_spec_rejects_bad_hurst(h):
     with pytest.raises(InputError):
@@ -82,8 +122,12 @@ def test_fbm_spec_rejects_a_bad_seed(seed):
 
 
 def test_fbm_spec_takes_a_numpy_integer_seed():
-    np.testing.assert_array_equal(generate_fgn(FbmSpec(hurst=0.7, length=20, seed=np.int64(3))),
-                                  generate_fgn(FbmSpec(hurst=0.7, length=20, seed=3)))
+    """Stored as a plain int, as the spec's other integer fields are."""
+    for seed in (np.int64(3), np.uint8(3)):
+        spec = FbmSpec(hurst=0.7, length=20, seed=seed)
+        assert type(spec.seed) is int
+        assert generate_fgn(spec).tobytes() == generate_fgn(
+            FbmSpec(hurst=0.7, length=20, seed=3)).tobytes()
 
 
 @pytest.mark.parametrize("make, field", [

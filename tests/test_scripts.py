@@ -1,10 +1,12 @@
-"""Smoke runs of every experiment and of the README's quick start, each in a
-fresh interpreter, and the names the package root exports.
+"""Smoke runs of every experiment, of the README's quick start and of its
+command-line block, each in a fresh interpreter, and the names the package
+root exports.
 
-The experiment script and the README import the package's public names; a
-renamed or removed name fails here, not only when someone next runs an
-experiment or copies the quick start.  The cases come from the script's own
-subcommands, so an experiment added without a smoke run fails too.
+The experiment script and the README use the package's public names, and
+the README its command's subcommands and flags; a renamed or removed one
+fails here, not only when someone next runs an experiment or copies the
+README.  The cases come from the script's own subcommands, so an
+experiment added without a smoke run fails too.
 """
 
 import argparse
@@ -59,6 +61,20 @@ def test_readme_quick_start_runs():
                           capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
     assert proc.stdout.startswith("h(2) = "), proc.stdout
+
+
+def test_readme_command_line_runs(tmp_path):
+    """The README's command-line block, command by command in one directory:
+    the later commands read the files the first two write."""
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"^## Command line\n\n```sh\n(.*?)^```", readme, re.M | re.S)
+    commands = [line.split() for line in block.splitlines() if line.startswith("mffdfa ")]
+    assert len(commands) == 6, block
+    env = dict(os.environ, PYTHONPATH=str(Path(mffdfa.__file__).resolve().parents[1]))
+    for command in commands:
+        proc = subprocess.run([sys.executable, "-m", "mffdfa.cli", *command[1:]], cwd=tmp_path,
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, ""), (command, proc.stderr)
 
 
 #: the stage-level names the root no longer exports, by defining module
