@@ -15,8 +15,8 @@ Analysis flags and a ``--config`` JSON file (flags win) set AnalysisConfig
 fields; it checks them, and sweep-m its order range, before any input is
 read.  ``--session-length L`` needs ``--log-returns`` and L >= 2, also
 checked before the read, and drops the returns that cross a boundary of
-L-price sessions.  Input files are plain CSV in
-UTF-8 (a byte-order mark is skipped), one value per line, '#' comments
+L-price sessions.  Input, a file or a pipe read once, is plain CSV in UTF-8
+(a byte-order mark is skipped), one value per line, '#' comments
 allowed; an optional second column is ignored with a warning.  Output is
 JSON by default (top-level keys: config, hurst, spectrum, delta_alpha,
 diagnostics) or a flat CSV table with --format csv.  Exit codes: 0 on
@@ -32,6 +32,7 @@ import itertools
 import json
 import os
 import sys
+from array import array
 
 import numpy as np
 
@@ -43,77 +44,65 @@ from .generators import CascadeSpec, FbmSpec, cascade_oracle, generate_cascade, 
 from .pipeline import METHODS, AnalysisConfig, ResultDocument, analyze_series  # noqa: F401
 from .signal import log_returns
 
+#: lines a block of the CSV reader, and of `generate`'s writer, holds
+_BLOCK_LINES = 2 ** 10
+
 
 def read_series(path: str) -> np.ndarray:
     """One float per line; '#' lines skipped; 2nd column tolerated with a warning.
 
-    Input is UTF-8, with or without a byte-order mark.  A file that holds one
-    plain number per line after its leading '#' and blank lines is parsed by
-    NumPy's C reader in one pass; any other file goes through the line loop,
-    which gives the same values and alone words the warnings and errors.
+    Input is UTF-8, with or without a byte-order mark.  Files and pipes are
+    read once, a block of lines at a time through float(); from the first line
+    it refuses, the rest of the block takes _read_line's full rule, which
+    alone words the warning and the errors.  A line float() takes has no
+    blank or comma inside, so the rule would read the same value from it.
     """
     try:
-        fh = open(path, encoding="utf-8-sig")
+        # an undecodable byte reaches the rule as a lone surrogate, so it can name the line
+        fh = open(path, encoding="utf-8-sig", errors="surrogateescape")
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from None
+    values, n, lineno, warned = np.empty(_BLOCK_LINES), 0, 0, False
     with fh:
-        values = None
-        # the line loop rereads what the C reader refuses, and a pipe cannot be read twice
-        if fh.seekable():
+        while lines := list(itertools.islice(fh, _BLOCK_LINES)):
+            block = array("d")
             try:
-                values = _read_plain(fh)
-            except ValueError:  # a line the C reader refuses, or bytes that are not UTF-8
-                pass
-            fh.seek(0)
-        if values is None:
-            # an undecodable byte reaches the loop as a lone surrogate, so it can name the line
-            fh.reconfigure(errors="surrogateescape")
-            values = _read_lines(fh, path)
+                block.extend(map(float, lines))
+            except ValueError:  # block holds the values before the refused line
+                for i in range(len(block), len(lines)):
+                    value, warned = _read_line(lines[i], path, lineno + i + 1, warned)
+                    if value is not None:
+                        block.append(value)
+            lineno += len(lines)
+            if n + len(block) > values.size:  # a quarter's headroom: about 1.25 x the values
+                values.resize(n + len(block) + n // 4, refcheck=False)
+            values[n:n + len(block)] = block
+            n += len(block)
+    if not n:
+        raise InputError(f"{path}: no data lines")
+    values.resize(n, refcheck=False)
     return values
 
 
-def _read_plain(fh) -> np.ndarray | None:
-    """The values of a file of one plain number per line after its leading
-    '#' and blank lines; None when no data line follows them."""
-    for line in fh:
-        text = line.strip()
-        if text and not text.startswith("#"):
-            break
-    else:
-        return None
-    if len(text.replace(",", " ").split()) > 1:  # columns: the loop's, without a wasted parse
-        return None
-    # comments=None: a later '#' line, or '1.5 # note', is the loop's to warn about or refuse
-    values = np.loadtxt(itertools.chain([line], fh), dtype=float, comments=None, ndmin=2)
-    # ndmin=2 keeps a single row of several columns from passing as one column
-    return values[:, 0] if values.shape[1] == 1 else None
-
-
-def _read_lines(fh, path: str) -> np.ndarray:
-    """The line loop: the reference for read_series' values, and the one
-    source of its warning and its line-numbered errors."""
-    values = []
-    warned = False
-    for lineno, line in enumerate(fh, start=1):
-        try:
-            line.encode()
-        except UnicodeEncodeError:
-            raise InputError(f"{path}:{lineno}: not UTF-8 text") from None
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        # a line of commas alone has no parts: it is its own bad token
-        parts = text.replace(",", " ").split() or [text]
-        if len(parts) > 1 and not warned:
-            print(f"warning: {path}:{lineno}: extra columns ignored", file=sys.stderr)
-            warned = True
-        try:
-            values.append(float(parts[0]))
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: not a number: {parts[0]!r}") from None
-    if not values:
-        raise InputError(f"{path}: no data lines")
-    return np.asarray(values)
+def _read_line(line: str, path: str, lineno: int, warned: bool) -> tuple[float | None, bool]:
+    """One line's value (None for a blank or '#' line), and whether the
+    extra-columns warning has been given by now."""
+    try:
+        line.encode()
+    except UnicodeEncodeError:
+        raise InputError(f"{path}:{lineno}: not UTF-8 text") from None
+    text = line.strip()
+    if not text or text.startswith("#"):
+        return None, warned
+    # a line of commas alone has no parts: it is its own bad token
+    parts = text.replace(",", " ").split() or [text]
+    if len(parts) > 1 and not warned:
+        print(f"warning: {path}:{lineno}: extra columns ignored", file=sys.stderr)
+        warned = True
+    try:
+        return float(parts[0]), warned
+    except ValueError:
+        raise InputError(f"{path}:{lineno}: not a number: {parts[0]!r}") from None
 
 
 def _check_session_length(session_length: int) -> None:
@@ -160,13 +149,14 @@ def _check_output(output: str | None):
         raise InputError(f"cannot write {output}: {e}") from None
 
 
-def _emit(text: str, output: str | None):
+def _emit(pieces, output: str | None):
+    """Write an iterable of text pieces to -o or stdout."""
     if output is None or output == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         try:
             with open(output, "w") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as e:
             raise InputError(f"cannot write {output}: {e}") from None
 
@@ -174,7 +164,7 @@ def _emit(text: str, output: str | None):
 def cmd_analyze(args) -> int:
     config = _config_from_args(args)
     doc = analyze_series(_load_preprocessed(args), config)
-    _emit(doc.to_csv() if args.format == "csv" else doc.to_json() + "\n", args.output)
+    _emit([doc.to_csv() if args.format == "csv" else doc.to_json() + "\n"], args.output)
     return 0
 
 
@@ -192,8 +182,10 @@ def cmd_generate(args) -> int:
             raise InputError("generate cascade requires --a and --n-max")
         series = generate_cascade(CascadeSpec(a=args.a, n_max=args.n_max))
         header = f"mffdfa generate kind=cascade a={args.a!r} n_max={args.n_max}"
-    body = "\n".join(map(repr, series.tolist()))
-    _emit(f"# {header}\n{body}\n", args.output)
+    # a block of text at a time: the whole text would hold about 14 x the series' bytes
+    blocks = ("".join(f"{v!r}\n" for v in series[i:i + _BLOCK_LINES].tolist())
+              for i in range(0, series.size, _BLOCK_LINES))
+    _emit(itertools.chain([f"# {header}\n"], blocks), args.output)
     return 0
 
 
@@ -220,13 +212,13 @@ def cmd_sweep_m(args) -> int:
         lines = ["m,method,k,H,delta_alpha"]
         lines += [f"{r['m']},{r['method']},{r['k']},{r['H']!r},{r['delta_alpha']!r}"
                   for r in rows]
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit(["\n".join(lines) + "\n"], args.output)
     else:
         # each row carries its own method, m and k; the block keeps what they share
         config = {key: value for key, value in base.resolved(x.size, doc.surface.scales).items()
                   if key not in ("method", "m", "k")}
         config.update(m_min=args.m_min, m_max=args.m_max)
-        _emit(json.dumps({"config": config, "sweep": rows}, indent=2) + "\n", args.output)
+        _emit([json.dumps({"config": config, "sweep": rows}, indent=2) + "\n"], args.output)
     return 0
 
 
@@ -237,13 +229,13 @@ def cmd_oracle(args) -> int:
     if args.format == "csv":
         lines = [f"# cascade oracle a={args.a!r}", "q,tau,alpha,f_alpha,h"]
         lines += [",".join(repr(v) for v in row) for row in cols.tolist()]
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit(["\n".join(lines) + "\n"], args.output)
     else:
-        _emit(json.dumps({
+        _emit([json.dumps({
             "a": args.a,
             "table": {name: cols[:, j].tolist()
                       for j, name in enumerate(("q", "tau", "alpha", "f_alpha", "h"))},
-        }, indent=2) + "\n", args.output)
+        }, indent=2) + "\n"], args.output)
     return 0
 
 

@@ -6,10 +6,13 @@ equations.  Slow is fine; independent is the point.
 """
 
 import math
+import sys
 
 import mpmath
 import numpy as np
 from scipy.special import logsumexp
+
+from mffdfa import InputError
 
 
 def running_sum_profile(x):
@@ -21,6 +24,34 @@ def running_sum_profile(x):
         acc += v - mean
         out.append(acc)
     return np.asarray(out)
+
+
+def read_lines(fh, path: str) -> np.ndarray:
+    """The line loop: the reference for read_series' values, its warning and
+    its line-numbered errors.  ``fh`` is open as ``utf-8-sig`` with
+    ``errors="surrogateescape"``."""
+    values = []
+    warned = False
+    for lineno, line in enumerate(fh, start=1):
+        try:
+            line.encode()
+        except UnicodeEncodeError:
+            raise InputError(f"{path}:{lineno}: not UTF-8 text") from None
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        # a line of commas alone has no parts: it is its own bad token
+        parts = text.replace(",", " ").split() or [text]
+        if len(parts) > 1 and not warned:
+            print(f"warning: {path}:{lineno}: extra columns ignored", file=sys.stderr)
+            warned = True
+        try:
+            values.append(float(parts[0]))
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: not a number: {parts[0]!r}") from None
+    if not values:
+        raise InputError(f"{path}: no data lines")
+    return np.asarray(values)
 
 
 def log_returns_direct(prices):

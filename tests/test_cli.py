@@ -11,7 +11,8 @@ import pytest
 
 import mffdfa
 import mffdfa.cli as cli
-from mffdfa import FbmSpec, InputError, generate_fgn
+import oracles
+from mffdfa import CascadeSpec, FbmSpec, InputError, generate_cascade, generate_fgn
 from mffdfa.cli import (
     AnalysisConfig,
     analyze_series,
@@ -409,7 +410,7 @@ def test_read_series_skips_a_byte_order_mark(tmp_path, capsys, text):
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_read_series_reads_a_pipe_in_one_go(capsys):
-    # a pipe cannot be reread, so the line loop alone reads it
+    # a pipe cannot be reread: it takes the one pass a file takes
     r, w = os.pipe()
     with os.fdopen(w, "wb") as fh:
         fh.write(b"# h\n1.0, 10.0\n2.0, 20.0\n")
@@ -421,30 +422,60 @@ def test_read_series_reads_a_pipe_in_one_go(capsys):
     assert capsys.readouterr().err == f"warning: /dev/fd/{r}:2: extra columns ignored\n"
 
 
+def _plain(n):
+    """n lines of one plain number each, all distinct."""
+    return b"".join(b"%d.25\n" % i for i in range(n))
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_read_series_reads_a_plain_pipe_as_the_file(tmp_path, capsys):
+    content = _plain(2500)  # three blocks, and well inside a pipe's buffer
+    r, w = os.pipe()
+    with os.fdopen(w, "wb") as fh:
+        fh.write(content)
+    try:
+        values = read_series(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    src = tmp_path / "x.csv"
+    src.write_bytes(content)
+    assert values.tobytes() == read_series(str(src)).tobytes()
+    assert values.tolist() == [i + 0.25 for i in range(2500)]
+    assert capsys.readouterr().err == ""
+
+
 # None stands for `mffdfa generate` output followed by extreme reprs; the
-# flag says whether NumPy's C reader takes the file, or only the line loop
+# cases from "refused-at-1024" on sit at the edges of read_series' blocks of
+# 2^10 lines, where float() refuses a line and the full rule takes over
 READ_CASES = {
-    "generate-output": (None, True),
-    "comment-after-data": (b"1.5\n# note\n2.5\n", False),
-    "inline-comment": (b"1.5 # note\n2.5\n", False),
-    "comma-column": (b"1.0, 10.0\n2.0, 20.0\n", False),
-    "space-column": (b"1.0 10.0\n2.0 20.0\n", False),
-    "one-row-two-columns": (b"# h\n1.0\t10.0\n", False),
-    "ragged-rows": (b"1.0\n2.0 3.0\n4.0\n", False),
-    "trailing-comma": (b"1.0,\n2.0,\n", False),
-    "underscore": (b"1_000\n2\n", False),
-    "overflow": (b"1e500\n-1e500\n2\n", True),
-    "blank-crlf-no-final-newline": (b"\r\n# h\r\n1.5\r\n\r\n2.5\r\n \t\r\n3.5", True),
-    "bad-token": (b"1.0\n2.0\nnot-a-number\n", False),
-    "commas-only-line": (b"1\n,\n", False),
-    "only-comments": (b"# a\n\n# b\n", False),
-    "empty": (b"", False),
+    "generate-output": None,
+    "comment-after-data": b"1.5\n# note\n2.5\n",
+    "inline-comment": b"1.5 # note\n2.5\n",
+    "comma-column": b"1.0, 10.0\n2.0, 20.0\n",
+    "space-column": b"1.0 10.0\n2.0 20.0\n",
+    "one-row-two-columns": b"# h\n1.0\t10.0\n",
+    "ragged-rows": b"1.0\n2.0 3.0\n4.0\n",
+    "trailing-comma": b"1.0,\n2.0,\n",
+    "underscore": b"1_000\n2\n",
+    "overflow": b"1e500\n-1e500\n2\n",
+    "blank-crlf-no-final-newline": b"\r\n# h\r\n1.5\r\n\r\n2.5\r\n \t\r\n3.5",
+    "bad-token": b"1.0\n2.0\nnot-a-number\n",
+    "commas-only-line": b"1\n,\n",
+    "only-comments": b"# a\n\n# b\n",
+    "empty": b"",
+    "refused-at-1024": _plain(1023) + b"7.5, 1\n" + _plain(1000),
+    "refused-at-1025": _plain(1024) + b"7.5, 1\n" + _plain(1000),
+    "refused-at-2048": _plain(2047) + b"7.5 # note\n" + _plain(1000),
+    "columns-from-the-second-block": _plain(1100) + b"".join(b"%d.5, %d\n" % (i, i)
+                                                             for i in range(2000)),
+    "bad-token-after-3000": _plain(3000) + b"oops\n" + _plain(10),
+    "latin-1-in-the-second-block": _plain(1200) + b"# caf\xe9\n" + _plain(10),
 }
 
 
-@pytest.mark.parametrize("content, plain", READ_CASES.values(), ids=READ_CASES.keys())
-def test_read_series_matches_the_line_loop(tmp_path, capsys, monkeypatch, content, plain):
-    """Values, warnings and errors equal the line loop's, whichever reader runs."""
+@pytest.mark.parametrize("content", READ_CASES.values(), ids=READ_CASES.keys())
+def test_read_series_matches_the_line_loop(tmp_path, capsys, content):
+    """Values, warnings and errors equal the reference line loop's."""
     src = tmp_path / "x.csv"
     if content is None:
         assert main(["generate", "fgn", "--hurst", "0.7", "--length", "1000",
@@ -455,20 +486,18 @@ def test_read_series_matches_the_line_loop(tmp_path, capsys, monkeypatch, conten
     else:
         src.write_bytes(content)
 
-    def outcome():
+    def outcome(read):
         try:
-            result = read_series(str(src)).tobytes()
+            result = read().tobytes()
         except InputError as e:
             result = str(e)
         return result, capsys.readouterr().err
 
-    read_lines, looped = cli._read_lines, []
-    monkeypatch.setattr(cli, "_read_lines",
-                        lambda fh, path: looped.append(path) or read_lines(fh, path))
-    fast = outcome()
-    assert looped == ([] if plain else [str(src)])
-    monkeypatch.setattr(cli, "_read_plain", lambda fh: None)
-    assert fast == outcome()
+    def reference():
+        with open(src, encoding="utf-8-sig", errors="surrogateescape") as fh:
+            return oracles.read_lines(fh, str(src))
+
+    assert outcome(lambda: read_series(str(src))) == outcome(reference)
 
 
 def _traced_peak(run):
@@ -489,9 +518,26 @@ def cascade_csv(tmp_path_factory):
 
 
 def test_read_series_memory_stays_near_the_values(cascade_csv):
-    """The C reader holds little beyond the 8N bytes it returns; the line
-    loop held a Python float and a line string per value (5.1 x 8N)."""
+    """The reader holds little beyond the 8N bytes it returns; a line loop
+    held a Python float and a line string per value (5.1 x 8N)."""
     peak = _traced_peak(lambda: read_series(cascade_csv))
+    assert peak <= 1.5 * 8 * 2 ** 17
+
+
+@pytest.mark.parametrize("layout", ["two-columns", "trailing-comment"])
+def test_read_series_memory_is_the_same_for_every_file(cascade_csv, tmp_path, layout):
+    """Lines that float() refuses cost no more than plain ones (5.1 x 8N when
+    such a file went to a line loop)."""
+    lines = Path(cascade_csv).read_text().splitlines(keepends=True)
+    src = tmp_path / "x.csv"
+    if layout == "two-columns":
+        src.write_text(lines[0] + "".join(f"{line[:-1]}, 1\n" for line in lines[1:]))
+    else:
+        src.write_text("".join(lines) + "# end\n")
+    del lines
+    values = []
+    peak = _traced_peak(lambda: values.append(read_series(str(src))))
+    assert values[0].size == 2 ** 17
     assert peak <= 1.5 * 8 * 2 ** 17
 
 
@@ -516,6 +562,42 @@ def test_generate_is_deterministic(tmp_path):
     assert lines[0].startswith("# mffdfa generate kind=cascade")
     assert len(lines) == 1 + 256
     assert sum(float(v) for v in lines[1:]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv, series, header", [
+    (["fgn", "--hurst", "0.7", "--length", "1000"],
+     lambda: generate_fgn(FbmSpec(hurst=0.7, length=1000, seed=0)),
+     "mffdfa generate kind=fgn hurst=0.7 length=1000 seed=0"),
+    (["fbm", "--hurst", "0.3", "--length", "2500", "--seed", "4"],
+     lambda: generate_fgn(FbmSpec(hurst=0.3, length=2500, seed=4, output="path")),
+     "mffdfa generate kind=fbm hurst=0.3 length=2500 seed=4"),
+    (["cascade", "--a", "0.65", "--n-max", "10"],
+     lambda: generate_cascade(CascadeSpec(a=0.65, n_max=10)),
+     "mffdfa generate kind=cascade a=0.65 n_max=10"),
+], ids=["fgn", "fbm", "cascade"])
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+def test_generate_writes_the_text_of_one_join(tmp_path, capsys, argv, series, header, to_file):
+    """Written a block at a time, the text is the whole series' repr join."""
+    expected = f"# {header}\n" + "\n".join(map(repr, series().tolist())) + "\n"
+    out = tmp_path / "x.csv"
+    assert main(["generate", *argv, "-o", str(out) if to_file else "-"]) == 0
+    written = capsys.readouterr().out
+    if to_file:
+        assert written == ""
+        written = out.read_text()
+    assert written == expected
+
+
+def test_generate_memory_stays_near_the_series(tmp_path):
+    """The text goes out a block at a time: the whole of it peaked at 14.5 x 8N."""
+    out = str(tmp_path / "wn.csv")
+    n = 2 ** 20
+    argv = ["generate", "fgn", "--hurst", "0.5", "-o", out, "--length"]
+    assert main(argv + ["2"]) == 0  # one-time imports stay out of the peak
+    codes = []
+    peak = _traced_peak(lambda: codes.append(main(argv + [str(n)])))
+    assert codes == [0]
+    assert peak <= 1.5 * 8 * n
 
 
 def test_generate_fbm_is_cumsum_of_fgn(tmp_path):

@@ -105,6 +105,23 @@ def test_output_matches_the_golden_file(series, config, fgn_bank, report):
     assert worst <= RTOL
 
 
+@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("series", SERIES)
+def test_sign_and_offset_leave_the_output_alone(series, config, fgn_bank):
+    """-x gives x's bytes, and x + 3 max|x| stays within RTOL with equal
+    config and diagnostics.  They pin the kernel's centring and the
+    profile's mean."""
+    x = _generate(SERIES[series], fgn_bank)
+    cfg = CONFIGS[config]
+    text = analyze_series(x, cfg).to_json()
+    assert analyze_series(-x, cfg).to_json() == text
+    old = json.loads(text)
+    new = json.loads(analyze_series(x + 3 * np.max(np.abs(x)), cfg).to_json())
+    assert new["config"] == old["config"]
+    assert new["diagnostics"] == old["diagnostics"]
+    assert max(_deviation(new[key], old[key]) for key in ("hurst", "spectrum", "delta_alpha")) <= RTOL
+
+
 def test_generators_give_the_digested_series(fgn_bank):
     digests = json.loads((GOLDEN / "inputs.json").read_text())
     assert {_name(key): _digest(_generate(key, fgn_bank)) for key in DIGESTED} == digests
