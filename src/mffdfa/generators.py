@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, plain_fields
 
 LN2 = np.log(2.0)
 
@@ -34,38 +33,25 @@ class FbmSpec:
     output: str = "increments"
 
     def __post_init__(self):
-        object.__setattr__(self, "hurst", _check_number("hurst", self.hurst, numbers.Real))
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+        plain_fields(self)
         if not 0.0 < self.hurst < 1.0:
             raise InputError(f"Hurst exponent must lie strictly in (0, 1), got {self.hurst}")
-        object.__setattr__(self, "length", _check_number("length", self.length, numbers.Integral))
         if not 2 <= self.length <= 2 ** 26:
             raise InputError(f"length must be in [2, 2^26] (the memory guard), got {self.length}")
         if self.hurst != 0.5 and self.length > 2 ** 17:   # 4 times the time per doubling
             raise InputError(f"length must be at most 2^17 at hurst != 0.5, where the O(N^2) "
                              f"recursion runs (about 20 s at 2^17), got {self.length}")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise InputError(f"seed must be a non-negative integer, got {seed!r}")
-        object.__setattr__(self, "seed", int(seed))
         if self.output not in ("increments", "path"):
             raise InputError(f"output must be 'increments' or 'path', got {self.output!r}")
 
 
-def _check_number(name: str, value, kind: type) -> int | float:
-    """A spec field as a plain int or float (2 ** n_max wraps in a small NumPy integer);
-    refused if not of the numbers ABC kind (NumPy numbers too), or a bool."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "an integer" if kind is numbers.Integral else "a real number"
-        raise InputError(f"{name} must be {noun}, got {value!r}")
-    return int(value) if kind is numbers.Integral else float(value)
-
-
-def _check_cascade_a(a) -> float:
-    """The cascade parameter a as a plain float in (0.5, 1)."""
-    a = _check_number("a", a, numbers.Real)
+def _check_cascade_a(a: float) -> None:
+    """Refuse a cascade parameter a outside (0.5, 1)."""
     if not 0.5 < a < 1.0:
         raise InputError(f"cascade parameter a must lie in (0.5, 1), got {a}")
-    return a
 
 
 def fgn_autocovariance(hurst: float, n: int) -> np.ndarray:
@@ -112,8 +98,8 @@ class CascadeSpec:
     n_max: int
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _check_cascade_a(self.a))
-        object.__setattr__(self, "n_max", _check_number("n_max", self.n_max, numbers.Integral))
+        plain_fields(self)   # a plain int n_max: 2 ** n_max wraps in a small NumPy integer
+        _check_cascade_a(self.a)
         if not 1 <= self.n_max <= 26:
             raise InputError(f"n_max={self.n_max} outside [1, 26] (2^26 is the memory guard)")
 
@@ -131,47 +117,40 @@ def generate_cascade(spec: CascadeSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CascadeOracle:
-    """Closed-form multifractal characteristics of the binomial cascade.
+    """Analytic tau, alpha, f(alpha) and h(q) of the binomial cascade with parameter a.
 
-    All four are vectorized callables of q.  tau uses the standard
-    partition-function convention tau(0) = -1, tau(1) = 0; f satisfies
-    f(q) = q alpha(q) - tau(q) identically.
+    Vectorized methods of q, through logaddexp so extreme |q| cannot overflow
+    a^q.  tau follows the partition-function convention tau(0) = -1, tau(1) = 0;
+    f(q) = q alpha(q) - tau(q) holds identically.
     """
 
     a: float
-    tau: Callable[[np.ndarray], np.ndarray]
-    alpha: Callable[[np.ndarray], np.ndarray]
-    f_alpha: Callable[[np.ndarray], np.ndarray]
-    h: Callable[[np.ndarray], np.ndarray]
 
+    def __post_init__(self):
+        plain_fields(self)
+        _check_cascade_a(self.a)
 
-def cascade_oracle(a: float) -> CascadeOracle:
-    """Analytic tau, alpha, f(alpha) and h(q) for cascade parameter a.
-
-    Evaluated through logaddexp so extreme |q| cannot overflow a^q.
-    """
-    a = _check_cascade_a(a)
-    la, lb = np.log(a), np.log1p(-a)
-
-    def tau(q):
+    def tau(self, q):
         q = np.asarray(q, dtype=float)
-        return -np.logaddexp(q * la, q * lb) / LN2
+        return -np.logaddexp(q * np.log(self.a), q * np.log1p(-self.a)) / LN2
 
-    def alpha(q):
+    def alpha(self, q):
         q = np.asarray(q, dtype=float)
+        la, lb = np.log(self.a), np.log1p(-self.a)
         lse = np.logaddexp(q * la, q * lb)
         w_a = np.exp(q * la - lse)
         w_b = np.exp(q * lb - lse)
         return -(w_a * la + w_b * lb) / LN2
 
-    def f_alpha(q):
+    def f_alpha(self, q):
         q = np.asarray(q, dtype=float)
-        return q * alpha(q) - tau(q)
+        return q * self.alpha(q) - self.tau(q)
 
-    def h(q):
+    def h(self, q):
         q = np.asarray(q, dtype=float)
         safe_q = np.where(q == 0.0, 1.0, q)
         # the q -> 0 limit of (tau(q)+1)/q is alpha(0), by L'Hopital
-        return np.where(q == 0.0, alpha(0.0), (tau(q) + 1.0) / safe_q)
+        return np.where(q == 0.0, self.alpha(0.0), (self.tau(q) + 1.0) / safe_q)
 
-    return CascadeOracle(a=a, tau=tau, alpha=alpha, f_alpha=f_alpha, h=h)
+
+cascade_oracle = CascadeOracle

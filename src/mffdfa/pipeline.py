@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detrend import (BasisFunction, check_abscissa, check_order, check_scale,
                       default_basis_set, polynomial_basis)
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, plain_fields
 from .fluctuation import FluctuationSurface, default_q_grid, fluctuation_function
 from .segmentation import check_grid, check_overlap, default_scale_grid
 from .signal import as_series, build_profile
@@ -25,11 +24,6 @@ from .spectrum import (GeneralizedHurst, SingularitySpectrum, check_q_grid, fit_
                        legendre_transform)
 
 METHODS = ("mfdfa", "mfdfa_overlap", "mffdfa")
-
-#: per annotation: how an error names it, the values it accepts (NumPy scalars
-#: among them; bool, an int to Python, is refused apart) and the type stored
-_FIELD_TYPES = {"str": ("a string", str, str), "int": ("an integer", numbers.Integral, int),
-                "float": ("a number", numbers.Real, float)}
 
 
 @dataclass(frozen=True)
@@ -52,16 +46,7 @@ class AnalysisConfig:
     fit_hi: int | None = None
 
     def __post_init__(self):
-        # the annotations are strings here (postponed evaluation, see the imports)
-        for f in dataclasses.fields(self):
-            value, nullable = getattr(self, f.name), f.type.endswith(" | None")
-            if value is None and nullable:
-                continue
-            noun, accepted, plain = _FIELD_TYPES[f.type.removesuffix(" | None")]
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise InputError(f"setting {f.name!r} must be {noun}"
-                                 f"{' or null' if nullable else ''}, got {value!r}")
-            object.__setattr__(self, f.name, plain(value))
+        plain_fields(self, name=lambda field: f"setting {field!r}")
         if self.method not in METHODS:
             raise InputError(f"unknown method {self.method!r}; pick one of {METHODS}")
         check_abscissa(self.abscissa)

@@ -63,6 +63,6 @@ def default_scale_grid(N: int, s_min: int = 30, s_max: int | None = None,
     if s_max is None:
         s_max = N // 10
     check_grid(s_min, s_max, n_scales, N)
-    # sort and drop repeats; np.unique would load numpy.ma on first use
-    grid = np.sort(np.rint(np.geomspace(s_min, s_max, n_scales)).astype(int))
+    # rounded geomspace keeps its order: drop neighbouring repeats (np.unique loads numpy.ma)
+    grid = np.rint(np.geomspace(s_min, s_max, n_scales)).astype(int)
     return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]

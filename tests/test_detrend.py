@@ -282,6 +282,17 @@ def test_huge_series_keep_their_selection(fgn_bank):
         np.testing.assert_allclose(doc.hurst.h, ref.hurst.h, rtol=0, atol=1e-12)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a segment tiny next to its series "
+                   "ranks subnormal sums of squares, so its basis moves with the scale")
+def test_a_tiny_segment_picks_one_basis_at_every_scale():
+    """The one-row batch times 2^k picks the same basis of the default Q at
+    every k; it picks the quadratic at k <= -4 and the cubic at k = 0 and 300."""
+    row = np.array([0.0] * 21 + [4.32380365e-160, 0.0, 0.0])[None, :]
+    picks = {int(batch_segment_variances(np.ldexp(row, k), tuple(default_basis_set()))[1][0])
+             for k in (-100, -20, -4, 0, 300)}
+    assert len(picks) == 1, picks
+
+
 @pytest.mark.parametrize("hurst", [0.5, 0.7])
 def test_same_answer_at_every_magnitude(fgn_bank, hurst):
     """x 2^k analyses as x does, for peaks from about 2^-1000 to 2^1000: every

@@ -1,9 +1,12 @@
+import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from mffdfa import (
+    AnalysisConfig,
     CascadeSpec,
     FbmSpec,
     InputError,
@@ -165,6 +168,43 @@ def test_specs_take_numpy_numbers():
     cascade = CascadeSpec(a=np.float32(0.75), n_max=np.int8(5))
     assert [type(v) for v in (fbm.hurst, fbm.length, cascade.a, cascade.n_max)] == [
         float, int, float, int]
+
+
+#: every request with a constructor's valid keywords (None-default fields given a value)
+REQUESTS = [(AnalysisConfig, {"s_max": 300, "fit_lo": 40, "fit_hi": 200}),
+            (FbmSpec, {"hurst": 0.7, "length": 20}),
+            (CascadeSpec, {"a": 0.65, "n_max": 3}),
+            (cascade_oracle, {"a": 0.65})]
+
+
+def _numeric_fields():
+    for make, valid in REQUESTS:
+        for f in dataclasses.fields(make):
+            kind = f.type.removesuffix(" | None")
+            if kind in ("int", "float"):
+                value = valid.get(f.name, f.default)
+                yield pytest.param(make, valid, f.name, kind, value, f.type.endswith(" | None"),
+                                   id=f"{make.__name__}.{f.name}")
+
+
+@pytest.mark.parametrize("make, valid, field, kind, value, nullable", list(_numeric_fields()))
+def test_every_request_types_its_numbers_by_one_rule(make, valid, field, kind, value, nullable):
+    """Each numeric field of AnalysisConfig, FbmSpec, CascadeSpec and the cascade
+    oracle refuses a bool, a numeric string, a fraction for an integer and a
+    None it is not annotated for, naming the field, and stores a NumPy scalar
+    as a plain int or float.  seed is the one field with its own message: it
+    must also be non-negative."""
+    name = f"setting {field!r}" if make is AnalysisConfig else field
+    noun = "a non-negative integer" if field == "seed" else {"int": "an integer",
+                                                             "float": "a number"}[kind]
+    bad = [True, str(value)] + [value + 0.5] * (kind == "int") + [None] * (not nullable)
+    for wrong in bad:
+        with pytest.raises(InputError, match=rf"^{re.escape(name)} must be {noun}"):
+            make(**dict(valid, **{field: wrong}))
+    numpy_value = np.int16(value) if kind == "int" else np.float64(value)
+    stored = getattr(make(**dict(valid, **{field: numpy_value})), field)
+    assert type(stored) is {"int": int, "float": float}[kind]
+    assert stored == numpy_value
 
 
 @pytest.mark.parametrize("n_max", [np.int8(10), np.int16(16), np.uint8(8)])

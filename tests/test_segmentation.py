@@ -150,6 +150,20 @@ def test_default_grid_refuses_too_many_scales():
         default_scale_grid(10_000, 30, 1000, 10 ** 12)
 
 
+@pytest.mark.parametrize("N, s_min, s_max, n_scales", [
+    (100, 1, 2, 30), (100, 4, 7, 50), (1000, 29, 31, 1000),
+    (10 ** 7, 6_700_000, 6_700_009, 77),
+    (10_000, 30, 1000, N_SCALES_MAX), (10 ** 7, 1, 10 ** 7, N_SCALES_MAX),
+    (10 ** 7, 6_000_000, 10 ** 7, N_SCALES_MAX)])
+def test_default_grid_is_the_sorted_unique_rounding(N, s_min, s_max, n_scales):
+    """Rounded geomspace is already non-decreasing with exact ends, so dropping
+    neighbouring repeats gives np.unique's grid without a sort."""
+    expected = np.unique(np.rint(np.geomspace(s_min, s_max, n_scales)).astype(int))
+    grid = default_scale_grid(N, s_min, s_max, n_scales)
+    np.testing.assert_array_equal(grid, expected)
+    assert grid[0] == s_min and grid[-1] == s_max
+
+
 @given(st.integers(100, 50_000), st.integers(4, 50), st.integers(5, 60))
 def test_default_grid_sorted_dedup_bounded(N, s_min, n_scales):
     s_max = N // 10
