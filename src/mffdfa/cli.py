@@ -111,14 +111,17 @@ def _check_session_length(session_length: int) -> None:
 
 
 def drop_overnight_returns(returns: np.ndarray, session_length: int) -> np.ndarray:
-    """Remove returns that straddle a session boundary.
+    """Remove returns that straddle a session boundary, into a new array.
 
     With prices sampled session_length per session, return i (from price i
-    to i+1) crosses a boundary iff (i+1) % session_length == 0.
+    to i+1) crosses a boundary iff (i+1) % session_length == 0: every
+    session_length-th return from index session_length - 1, which a strided
+    slice of a one-byte mask marks.
     """
     _check_session_length(session_length)
-    i = np.arange(returns.size)
-    return returns[(i + 1) % session_length != 0]
+    keep = np.ones(returns.size, dtype=bool)
+    keep[session_length - 1::session_length] = False
+    return returns[keep]
 
 
 def _load_preprocessed(args) -> np.ndarray:
@@ -163,7 +166,8 @@ def _emit(pieces, output: str | None):
 
 def cmd_analyze(args) -> int:
     config = _config_from_args(args)
-    doc = analyze_series(_load_preprocessed(args), config)
+    # the series read is this command's own: the profile may take its buffer
+    doc = analyze_series(_load_preprocessed(args), config, overwrite_x=True)
     _emit([doc.to_csv() if args.format == "csv" else doc.to_json() + "\n"], args.output)
     return 0
 

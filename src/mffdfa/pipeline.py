@@ -142,17 +142,24 @@ class ResultDocument:
         return "\n".join(lines) + "\n"
 
 
-def analyze_series(x, config: AnalysisConfig) -> ResultDocument:
+def analyze_series(x, config: AnalysisConfig, *, overwrite_x: bool = False) -> ResultDocument:
     """Run one series through the whole pipeline under ``config``, on x 2^-e
     for the exponent e of its peak, which build_profile scales exactly, block
-    by block: x 2^k, if no value is subnormal, analyses as x does."""
+    by block: x 2^k, if no value is subnormal, analyses as x does.
+
+    x is left as it is by default.  With ``overwrite_x`` (after scipy.fft's
+    flag of that name) the profile is built in x's own float64 buffer when
+    that is writeable, with no second N-long array, and x's contents are
+    unspecified afterwards; a read-only x gets a fresh profile."""
     x = as_series(x)
     top, bottom = x.max(), x.min()
     if top == bottom:
         raise NumericalError("degenerate series: zero variance")
     e = int(np.frexp(max(top, -bottom))[1])
-    profile = build_profile(x, exponent=e)
-    scales = default_scale_grid(x.size, config.s_min, config.s_max, config.n_scales)
+    N = x.size
+    profile = build_profile(x, exponent=e, out=x if overwrite_x and x.flags.writeable else None)
+    del x                           # a copy as_series made, of a list say, goes here
+    scales = default_scale_grid(N, config.s_min, config.s_max, config.n_scales)
     lo = config.fit_lo if config.fit_lo is not None else 0
     hi = config.fit_hi if config.fit_hi is not None else np.inf
     in_window = int(np.count_nonzero((scales >= lo) & (scales <= hi)))
@@ -169,5 +176,5 @@ def analyze_series(x, config: AnalysisConfig) -> ResultDocument:
     with np.errstate(over="ignore"):
         surface = dataclasses.replace(surface, values=np.ldexp(surface.values, e))
     hurst = dataclasses.replace(hurst, intercepts=hurst.intercepts + e * np.log(2.0))
-    return ResultDocument(config=config.resolved(x.size, scales), hurst=hurst,
+    return ResultDocument(config=config.resolved(N, scales), hurst=hurst,
                           spectrum=spec, surface=surface)

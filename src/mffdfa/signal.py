@@ -36,9 +36,10 @@ def as_series(values, name: str = "series") -> np.ndarray:
     return x
 
 
-def build_profile(series, *, exponent: int = 0) -> np.ndarray:
+def build_profile(series, *, exponent: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """Step 1: turn a raw series times 2^-exponent into its profile Y(j), a
-    float64 array.
+    float64 array: a new one, or ``out``, a float64 array of the series'
+    length, which is returned.
 
     The mean and the partial sums are accumulated in the widest float the
     platform offers, then cast back to float64, BLOCK_VALUES samples at a
@@ -51,13 +52,19 @@ def build_profile(series, *, exponent: int = 0) -> np.ndarray:
     Each wide block, and the mean's sum, is scaled by 2^-exponent as two
     multiplications by powers of two within float64's range: exact in long
     double's exponent range, so a series of any magnitude can run at unit
-    scale without a scaled copy.
+    scale without a scaled copy.  ``out`` may be the float64 series itself:
+    the mean is taken first, and each block is copied wide before the same
+    slice is written back, so the profile replaces the series in place.
     """
     x = as_series(series)
     half = -exponent // 2
     scale = (2.0 ** half, 2.0 ** (-exponent - half))
     mean = _wide_sum(x) * scale[0] * scale[1] / x.size
-    profile = np.empty(x.size)
+    if out is None:
+        out = np.empty(x.size)
+    elif out.shape != x.shape or out.dtype != np.float64:
+        raise InputError(f"out must be float64 of shape {x.shape}, "
+                         f"got {out.dtype} of shape {out.shape}")
     carry = None                    # not 0.0, which would turn a leading -0.0 into +0.0
     for i in range(0, x.size, BLOCK_VALUES):
         wide = x[i:i + BLOCK_VALUES].astype(np.longdouble)
@@ -67,10 +74,10 @@ def build_profile(series, *, exponent: int = 0) -> np.ndarray:
         if carry is not None:
             wide[0] += carry
         np.cumsum(wide, out=wide)
-        profile[i:i + BLOCK_VALUES] = wide
+        out[i:i + BLOCK_VALUES] = wide
         carry = wide[-1]
         del wide                    # a block more in the next block's peak, if kept
-    return profile
+    return out
 
 
 def _wide_sum(x: np.ndarray) -> np.longdouble:
@@ -91,10 +98,19 @@ def _wide_sum(x: np.ndarray) -> np.longdouble:
 def log_returns(prices) -> np.ndarray:
     """r(i) = ln p(i+1) - ln p(i); output is one sample shorter.
 
-    Prices must be strictly positive.
+    Prices must be strictly positive; they are left as they are.  The
+    differences are taken in the array of logs, a BLOCK_VALUES block at a
+    time, so nothing N-long is held besides the prices and their logs.  It
+    is np.diff's subtraction, so the values are np.diff(np.log(p))'s bit
+    for bit; the result is a view of all but the last log's slot.
     """
     p = as_series(prices, name="prices")
     bad = np.flatnonzero(p <= 0.0)
     if bad.size:
         raise InputError(f"prices must be strictly positive; offender at index {bad[0]}")
-    return np.diff(np.log(p))
+    r = np.log(p)
+    for i in range(0, r.size - 1, BLOCK_VALUES):
+        j = min(i + BLOCK_VALUES, r.size - 1)
+        # r[j], which the block reads last, is written by the next block
+        np.subtract(r[i + 1:j + 1], r[i:j], out=r[i:j])
+    return r[:-1]

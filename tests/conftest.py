@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -60,6 +61,23 @@ def fit_one():
     """Least-squares fit of one basis to one segment, the detrending kernel
     on a batch of one: fitted values, ss_res, r_squared, rank_deficient."""
     return _fit_one
+
+
+def _traced_peak(run):
+    """Peak bytes that tracemalloc sees while run() works."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """traced_peak(run): the peak bytes tracemalloc sees while run() works,
+    above what was allocated before it started."""
+    return _traced_peak
 
 
 @pytest.fixture

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -500,16 +499,6 @@ def test_read_series_matches_the_line_loop(tmp_path, capsys, content):
     assert outcome(lambda: read_series(str(src))) == outcome(reference)
 
 
-def _traced_peak(run):
-    """Peak bytes that tracemalloc sees while run() works."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.fixture(scope="module")
 def cascade_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("cascade") / "cascade.csv"
@@ -517,15 +506,16 @@ def cascade_csv(tmp_path_factory):
     return str(path)
 
 
-def test_read_series_memory_stays_near_the_values(cascade_csv):
+def test_read_series_memory_stays_near_the_values(cascade_csv, traced_peak):
     """The reader holds little beyond the 8N bytes it returns; a line loop
     held a Python float and a line string per value (5.1 x 8N)."""
-    peak = _traced_peak(lambda: read_series(cascade_csv))
+    peak = traced_peak(lambda: read_series(cascade_csv))
     assert peak <= 1.5 * 8 * 2 ** 17
 
 
 @pytest.mark.parametrize("layout", ["two-columns", "trailing-comment"])
-def test_read_series_memory_is_the_same_for_every_file(cascade_csv, tmp_path, layout):
+def test_read_series_memory_is_the_same_for_every_file(cascade_csv, tmp_path, layout,
+                                                      traced_peak):
     """Lines that float() refuses cost no more than plain ones (5.1 x 8N when
     such a file went to a line loop)."""
     lines = Path(cascade_csv).read_text().splitlines(keepends=True)
@@ -536,16 +526,45 @@ def test_read_series_memory_is_the_same_for_every_file(cascade_csv, tmp_path, la
         src.write_text("".join(lines) + "# end\n")
     del lines
     values = []
-    peak = _traced_peak(lambda: values.append(read_series(str(src))))
+    peak = traced_peak(lambda: values.append(read_series(str(src))))
     assert values[0].size == 2 ** 17
     assert peak <= 1.5 * 8 * 2 ** 17
 
 
-def test_analyze_memory_is_set_by_the_analysis(cascade_csv, tmp_path):
+@pytest.fixture(scope="module")
+def cascade_2_20_csv(tmp_path_factory):
+    """The a = 0.65 cascade of 2^20 points; its values are positive, so it
+    also reads as prices."""
+    path = tmp_path_factory.mktemp("cascade") / "cascade-2-20.csv"
+    assert main(["generate", "cascade", "--a", "0.65", "--n-max", "20", "-o", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("flags, bound", [
+    ([], 1.9),
+    (["--log-returns"], 2.2),
+    (["--log-returns", "--session-length", "390"], 2.3),
+], ids=["plain", "log-returns", "session-length"])
+def test_analyze_builds_the_profile_in_the_series_it_read(cascade_2_20_csv, tmp_path,
+                                                         traced_peak, flags, bound):
+    """analyze owns the series it read and builds the profile in it: at
+    2^20 points it peaks at about 1.76, 2.03 and 2.15 x 8N.  The read array
+    kept next to a new profile, and log returns from np.diff and index
+    temporaries, peaked at 2.76, 3.03 and 4.03 x 8N."""
+    n = 2 ** 20
+    out = str(tmp_path / "r.json")
+    codes = []
+    peak = traced_peak(lambda: codes.append(main(["analyze", cascade_2_20_csv, *flags,
+                                                  "-o", out])))
+    assert codes == [0]
+    assert peak <= bound * 8 * n, peak / (8 * n)
+
+
+def test_analyze_memory_is_set_by_the_analysis(cascade_csv, tmp_path, traced_peak):
     """Reading the file stays below the analysis' own peak (5.3 x 8N when
     the line loop read every file)."""
     out = str(tmp_path / "r.json")
-    peak = _traced_peak(lambda: main(["analyze", cascade_csv, "-o", out]))
+    peak = traced_peak(lambda: main(["analyze", cascade_csv, "-o", out]))
     assert peak <= 4 * 8 * 2 ** 17
 
 
@@ -588,14 +607,14 @@ def test_generate_writes_the_text_of_one_join(tmp_path, capsys, argv, series, he
     assert written == expected
 
 
-def test_generate_memory_stays_near_the_series(tmp_path):
+def test_generate_memory_stays_near_the_series(tmp_path, traced_peak):
     """The text goes out a block at a time: the whole of it peaked at 14.5 x 8N."""
     out = str(tmp_path / "wn.csv")
     n = 2 ** 20
     argv = ["generate", "fgn", "--hurst", "0.5", "-o", out, "--length"]
     assert main(argv + ["2"]) == 0  # one-time imports stay out of the peak
     codes = []
-    peak = _traced_peak(lambda: codes.append(main(argv + [str(n)])))
+    peak = traced_peak(lambda: codes.append(main(argv + [str(n)])))
     assert codes == [0]
     assert peak <= 1.5 * 8 * n
 
@@ -715,6 +734,15 @@ def test_drop_overnight_returns_indexing():
     r = np.arange(10.0)
     kept = drop_overnight_returns(r, 5)
     np.testing.assert_array_equal(kept, [0, 1, 2, 3, 5, 6, 7, 8])
+
+
+@pytest.mark.parametrize("length", [2, 3, 7, 390])
+def test_drop_overnight_keeps_what_the_index_rule_keeps(length):
+    """The strided mask keeps exactly the returns i with (i + 1) % L != 0."""
+    for n in sorted({0, 1, 2, 5, length - 1, length, length + 1, 2 * length, 10_003}):
+        r = np.random.default_rng(n).standard_normal(n)
+        expected = r[(np.arange(n) + 1) % length != 0]
+        assert drop_overnight_returns(r, length).tobytes() == expected.tobytes(), n
 
 
 # -------------------------------------------------------------- config file

@@ -1,6 +1,5 @@
 import json
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -329,7 +328,7 @@ def test_designs_hold_each_direction_once():
         np.testing.assert_array_equal(design.B[:, cols], alone.B[:, alone.spans[0]])
 
 
-def test_design_memory_is_its_five_columns():
+def test_design_memory_is_its_five_columns(traced_peak):
     """Building one scale's design under the default Q, on either abscissa,
     peaks at 7 columns of s values: B, filled in place, next to two more,
     the abscissa and a lead term's value, or the term's remainder and a
@@ -340,35 +339,27 @@ def test_design_memory_is_its_five_columns():
     s = 2 ** 17
     for abscissa in ABSCISSAS:
         bases = default_basis_set(abscissa)
-        tracemalloc.start()
-        try:
-            design = DesignFit(s, bases)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        designs = []
+        peak = traced_peak(lambda: designs.append(DesignFit(s, bases)))
+        design = designs.pop()
         assert peak <= 7.5 * 8 * s, abscissa
         assert design.B.shape == (s, 5) and design.B.base is None
         assert [name for name, value in vars(design).items()
                 if isinstance(value, np.ndarray)] == ["B"]
 
 
-def test_long_rows_peak_at_the_design_and_two_rows():
+def test_long_rows_peak_at_the_design_and_two_rows(traced_peak):
     """A scale whose two-row block holds more than BLOCK_VALUES values peaks
     at B's 5 columns, the block's two rows of R and a little: the rank-2
     update's product runs in column chunks of a block, not over whole rows."""
     s = 2 ** 16 + 3
     assert 2 * s > BLOCK_VALUES
     segments = np.random.default_rng(3).standard_normal((4, s)).cumsum(axis=1)
-    tracemalloc.start()
-    try:
-        batch_segment_variances(segments, default_basis_set())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: batch_segment_variances(segments, default_basis_set()))
     assert peak <= 7.6 * 8 * s
 
 
-def test_guarded_rows_peak_below_a_column_chunked_bound():
+def test_guarded_rows_peak_below_a_column_chunked_bound(traced_peak):
     """Rows whose quadratic fit trips the residual guard, at a scale whose
     two-row block outgrows BLOCK_VALUES, peak at B's 5 columns, the block's
     two rows of R, the guard's copies of those rows and of W, and a chunk:
@@ -381,12 +372,7 @@ def test_guarded_rows_peak_below_a_column_chunked_bound():
     ss_res, _, _, R = _kernel(segments[:2], design)
     assert (ss_res[0] < RESIDUAL_GUARD * np.einsum("ij,ij->i", R, R)).all()
     del design, R
-    tracemalloc.start()
-    try:
-        batch_segment_variances(segments, default_basis_set())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: batch_segment_variances(segments, default_basis_set()))
     assert peak <= 10.6 * 8 * s
 
 

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,17 +235,7 @@ def test_logsumexp_matches_scipy_without_overflow(rng):
     assert out[3] == _package_lse(a[3], 0)
 
 
-def _traced_peak(run):
-    """Peak bytes that tracemalloc sees while run() works."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_aggregation_memory_stays_within_its_blocks(monkeypatch):
+def test_aggregation_memory_stays_within_its_blocks(monkeypatch, traced_peak):
     """The q sums hold two temporaries of one block next to a few
     per-segment vectors, at every scale and for the whole q grid.
 
@@ -264,31 +252,31 @@ def test_aggregation_memory_stays_within_its_blocks(monkeypatch):
     scales = default_scale_grid(n)
     M = len(layout(profile, int(scales[0]), k))
     assert M > BLOCK_VALUES // 4
-    peak = _traced_peak(lambda: fl.fluctuation_function(profile, scales, k, _poly(2),
-                                                        default_q_grid()))
+    peak = traced_peak(lambda: fl.fluctuation_function(profile, scales, k, _poly(2),
+                                                       default_q_grid()))
     # a block's two temporaries, then F^2, the winners, the nonzero mask,
     # ln F^2 and its argument, and a margin for the (q, scale) tables
     assert peak <= 8 * (2 * max(BLOCK_VALUES // 3, M) + 6 * M)
 
 
-def test_analysis_memory_stays_near_two_profiles():
+def test_analysis_memory_stays_near_two_profiles(traced_peak):
     """analyze_series on 2^18 points peaks at about 2 x 8N bytes: the profile
     next to the smallest scale's per-segment vectors and block buffers.  No
     wide copy of the series sets it any more; the bound keeps its margin
     for a scale's designs."""
     x = generate_cascade(CascadeSpec(a=0.65, n_max=18))
-    peak = _traced_peak(lambda: analyze_series(x, AnalysisConfig()))
+    peak = traced_peak(lambda: analyze_series(x, AnalysisConfig()))
     assert peak <= 2.25 * 8 * x.size
 
 
-def test_out_of_band_analysis_memory_is_in_band_memory():
+def test_out_of_band_analysis_memory_is_in_band_memory(traced_peak):
     """Every series runs at unit peak, scaled inside build_profile block by
     block: the series times 2^300 peaks within one block of the series as
     generated, not at a scaled copy of it."""
     x = generate_cascade(CascadeSpec(a=0.65, n_max=18))
-    as_generated = _traced_peak(lambda: analyze_series(x, AnalysisConfig()))
+    as_generated = traced_peak(lambda: analyze_series(x, AnalysisConfig()))
     x = np.ldexp(x, 300)
-    scaled = _traced_peak(lambda: analyze_series(x, AnalysisConfig()))
+    scaled = traced_peak(lambda: analyze_series(x, AnalysisConfig()))
     assert scaled <= as_generated + 8 * BLOCK_VALUES
 
 

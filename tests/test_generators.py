@@ -1,6 +1,5 @@
 import dataclasses
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,17 +81,12 @@ def test_path_is_exactly_the_cumsum_of_the_increments(hurst):
 
 
 @pytest.mark.parametrize("output", ["increments", "path"])
-def test_white_noise_holds_only_its_draws(output):
+def test_white_noise_holds_only_its_draws(output, traced_peak):
     """At H = 0.5 the generator allocates the N draws and nothing N-long
     besides: no autocovariance, and the path is summed in place."""
     n = 2 ** 20
     generate_fgn(FbmSpec(hurst=0.5, length=2, output=output))   # one-time imports
-    tracemalloc.start()
-    try:
-        generate_fgn(FbmSpec(hurst=0.5, length=n, seed=1, output=output))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: generate_fgn(FbmSpec(hurst=0.5, length=n, seed=1, output=output)))
     assert peak <= 1.1 * 8 * n, peak / (8 * n)
 
 

@@ -122,6 +122,34 @@ def test_sign_and_offset_leave_the_output_alone(series, config, fgn_bank):
     assert max(_deviation(new[key], old[key]) for key in ("hurst", "spectrum", "delta_alpha")) <= RTOL
 
 
+@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("series", SERIES)
+def test_overwriting_the_series_leaves_the_output_alone(series, config, fgn_bank):
+    """overwrite_x=True, the profile built in the series' own buffer, gives
+    the bytes of the default run."""
+    x = _generate(SERIES[series], fgn_bank)
+    cfg = CONFIGS[config]
+    assert analyze_series(x.copy(), cfg, overwrite_x=True).to_json() == \
+        analyze_series(x, cfg).to_json()
+
+
+def test_analysis_leaves_the_callers_series_alone(fgn_bank):
+    """By default no input is written: a contiguous array, a strided view,
+    a read-only array and a list.  overwrite_x=True on a read-only array
+    neither raises nor writes, and gives the default bytes."""
+    x = fgn_bank(0.7, 10_000, 0)
+    assert not x.flags.writeable
+    cfg = AnalysisConfig(q_step=1.0)
+    text, before = analyze_series(x, cfg).to_json(), x.tobytes()
+    inputs = {"contiguous": x.copy(), "strided": np.repeat(x, 2)[::2], "read-only": x,
+              "list": x.tolist()}
+    for name, series in inputs.items():
+        assert analyze_series(series, cfg).to_json() == text, name
+        assert np.asarray(series).tobytes() == before, name
+    assert analyze_series(x, cfg, overwrite_x=True).to_json() == text
+    assert x.tobytes() == before
+
+
 def test_generators_give_the_digested_series(fgn_bank):
     digests = json.loads((GOLDEN / "inputs.json").read_text())
     assert {_name(key): _digest(_generate(key, fgn_bank)) for key in DIGESTED} == digests

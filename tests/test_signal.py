@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -77,19 +75,33 @@ def test_profile_scales_without_a_copy(k):
     assert build_profile(x, exponent=e).tobytes() == build_profile(np.ldexp(x, -e)).tobytes()
 
 
-def test_profile_memory_is_the_profile_and_its_blocks():
+def test_profile_memory_is_the_profile_and_its_blocks(traced_peak):
     """At 2^20 points the profile peaks at its own 8N bytes plus at most two
     long-double blocks: no whole-series wide copy, for the mean or at an
     exponent."""
     x = 1e6 + np.random.default_rng(1).standard_normal(2 ** 20)
     for exponent in (0, 300):
-        tracemalloc.start()
-        try:
-            build_profile(x, exponent=exponent)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: build_profile(x, exponent=exponent))
         assert peak <= 8 * x.size + 2 * np.dtype(np.longdouble).itemsize * BLOCK_VALUES
+
+
+@pytest.mark.parametrize("exponent", [0, 300])
+@pytest.mark.parametrize("n", [2, BLOCK_VALUES - 1, BLOCK_VALUES, BLOCK_VALUES + 1,
+                               3 * BLOCK_VALUES + 5])
+def test_profile_in_place_is_the_profile(n, exponent):
+    """build_profile(x, out=x) overwrites x with build_profile(x), bit for bit."""
+    x = 1e3 + np.random.default_rng(n).standard_normal(n)
+    expected = build_profile(x, exponent=exponent).tobytes()
+    assert build_profile(x, exponent=exponent, out=x) is x
+    assert x.tobytes() == expected
+
+
+def test_profile_refuses_an_out_of_another_shape_or_type():
+    x = np.arange(10.0)
+    for out in (np.empty(11), np.empty(10, dtype=np.float32)):
+        with pytest.raises(InputError, match="out must be float64 of shape"):
+            build_profile(x, out=out)
+    assert (x == np.arange(10.0)).all()
 
 
 def test_profile_length_matches_input(rng):
@@ -149,6 +161,17 @@ def test_log_returns_matches_direct_oracle(rng):
 def test_log_returns_output_length(rng):
     p = rng.uniform(1.0, 2.0, size=57)
     assert log_returns(p).size == 56
+
+
+@pytest.mark.parametrize("n", [2, 3, BLOCK_VALUES, BLOCK_VALUES + 1, BLOCK_VALUES + 2, 2 ** 17])
+def test_log_returns_are_np_diff_of_the_logs(n):
+    """Differenced in place a block at a time, the returns are
+    np.diff(np.log(p))'s bytes, and the prices stay as they were."""
+    p = np.exp(np.cumsum(0.01 * np.random.default_rng(n).standard_normal(n)))
+    before = p.tobytes()
+    r = log_returns(p)
+    assert r.tobytes() == np.diff(np.log(p)).tobytes()
+    assert p.tobytes() == before
 
 
 def test_log_returns_rejects_nonpositive_price():
